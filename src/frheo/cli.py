@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,14 +33,14 @@ from .nutting import CreepRecord, fit_nutting, quasi_property
 from .special import MLParams, ml_eval
 
 _MODEL_SPECS = {
-    "springpot": (SpringPot, ("kappa", "alpha")),
-    "fmaxwell": (FracMaxwell, ("E", "lam", "alpha", "beta")),
-    "maxwell3": (ThreeParamMaxwell, ("a1", "b0", "alpha")),
-    "fkelvinvoigt": (FracKelvinVoigt, ("b0", "b1", "alpha")),
-    "fzener": (FracZener, ("a1", "b0", "b1", "alpha")),
-    "poynting": (PoyntingThomson, ("E", "E0", "lam", "alpha", "beta", "gamma")),
-    "cmaxwell": (ClassicalMaxwell, ("E", "tau")),
-    "ckelvin": (ClassicalKelvin, ("E", "tau")),
+    "springpot": SpringPot,
+    "fmaxwell": FracMaxwell,
+    "maxwell3": ThreeParamMaxwell,
+    "fkelvinvoigt": FracKelvinVoigt,
+    "fzener": FracZener,
+    "poynting": PoyntingThomson,
+    "cmaxwell": ClassicalMaxwell,
+    "ckelvin": ClassicalKelvin,
 }
 
 _RESPONSE_FN = {
@@ -130,14 +131,10 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
 def _build_model(args):
     if getattr(args, "model", None) is None:
         raise _UsageError("--model is required")
-    cls, fields = _MODEL_SPECS[args.model]
-    kwargs, missing = {}, []
-    for f in fields:
-        v = getattr(args, f, None)
-        if v is None:
-            missing.append(_flag(f))
-        else:
-            kwargs[f] = v
+    cls = _MODEL_SPECS[args.model]
+    # flags follow the dataclass field order, in messages and in JSON params
+    kwargs = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+    missing = [_flag(f) for f, v in kwargs.items() if v is None]
     if missing:
         raise _UsageError(f"model {args.model} needs {' '.join(missing)}")
     try:
@@ -168,8 +165,8 @@ def _build_grid(args) -> np.ndarray:
 
 def _model_params(args) -> dict:
     out = {"model": args.model}
-    for f in _MODEL_SPECS[args.model][1]:
-        out["lambda" if f == "lam" else f] = _round15(getattr(args, f))
+    for f in dataclasses.fields(_MODEL_SPECS[args.model]):
+        out["lambda" if f.name == "lam" else f.name] = _round15(getattr(args, f.name))
     return out
 
 
@@ -281,10 +278,9 @@ def _add_output_flags(p):
 
 def _add_model_flags(p):
     p.add_argument("--model", choices=sorted(_MODEL_SPECS))
-    for flag in ("--kappa", "--alpha", "--beta", "--E", "--E0", "--a1",
-                 "--b0", "--b1", "--gamma", "--tau"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
+    fields = (f.name for cls in _MODEL_SPECS.values() for f in dataclasses.fields(cls))
+    for f in dict.fromkeys(fields):
+        p.add_argument(_flag(f), dest=f, type=float)
 
 
 def _add_grid_flags(p):

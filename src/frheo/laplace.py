@@ -3,7 +3,7 @@
 Fixed deformed-contour quadrature (Talbot's cotangent contour with the
 node count picked from the requested accuracy). Serves double duty: a
 verification oracle for models with closed-form responses, and the
-runtime path for the one catalog model without any.
+runtime path for every response without one.
 """
 
 from __future__ import annotations

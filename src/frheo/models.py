@@ -1,13 +1,12 @@
 """Constitutive-model catalog for linear viscoelasticity.
 
-Eight models share one interface: an algebraic transfer function
-(stress transform over strain transform), material functions built from
-it (relaxation modulus, creep compliance, complex modulus), a
-time-domain marching solver for arbitrary strain histories, and the
-hereditary-integral formulation with a fractional-exponential kernel.
-
-Closed forms are used wherever the model admits one; the remaining
-responses go through numerical transform inversion.
+Each model is one rate equation sigma + sum a D^alpha sigma = sum b
+D^beta strain, and its dataclass holds that equation's terms plus any
+closed-form relaxation or creep. The rest is derived from the terms:
+the transfer function, inversion for responses without a closed form,
+the complex modulus and a time-domain marching solver. The
+hereditary-integral formulation with a fractional-exponential kernel
+sits alongside.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -27,14 +25,26 @@ from .special import MLParams, RabotnovParams, _rgamma, gamma, ml_eval
 _INVERT_TOL = 1e-8  # certification level for runtime transform inversion
 
 
-def _positive(value, name: str) -> float:
+def _positive(value, name: str) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a positive real, got {value}")
-    return float(value)
+
+
+def _non_negative(value, name: str) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be non-negative, got {value}")
+
+
+class MaterialModel:
+    """Base of the catalog. A model supplies `_operator_terms()`: the (lhs, rhs)
+    lists of (coefficient, order) terms of its rate equation, the bare sigma
+    implied. `_relaxation(t)` and `_creep(t)` are its closed forms, if any."""
+
+    _relaxation = _creep = None
 
 
 @dataclass(frozen=True)
-class SpringPot:
+class SpringPot(MaterialModel):
     """Power-law element sigma = kappa * D^alpha strain."""
 
     kappa: float
@@ -44,9 +54,22 @@ class SpringPot:
         _positive(self.kappa, "kappa")
         _order(self.alpha)
 
+    def _operator_terms(self):
+        return [], [(self.kappa, self.alpha)]
+
+    def _relaxation(self, t):
+        if self.alpha == 1.0:
+            raise DomainError(
+                "springpot with order 1 is a dashpot: step-strain stress is "
+                "impulsive; use the classical viscous law instead")
+        return self.kappa * _rgamma(1.0 - self.alpha) * t**(-self.alpha)
+
+    def _creep(self, t):
+        return t**self.alpha / (self.kappa * gamma(1.0 + self.alpha))
+
 
 @dataclass(frozen=True)
-class FracMaxwell:
+class FracMaxwell(MaterialModel):
     """Fractional Maxwell: sigma + lam^alpha D^alpha sigma
     = E lam^beta D^beta strain, with 0 <= alpha <= beta <= 1."""
 
@@ -62,9 +85,23 @@ class FracMaxwell:
         if a > b:
             raise DomainError(f"need alpha <= beta, got alpha={a}, beta={b}")
 
+    def _operator_terms(self):
+        return ([(self.lam**self.alpha, self.alpha)],
+                [(self.E * self.lam**self.beta, self.beta)])
+
+    def _relaxation(self, t):
+        if self.alpha == 0.0:
+            # the derivative on the stress side degenerates to identity,
+            # leaving a pure power-law element of half strength
+            return (0.5 * self.E * self.lam**self.beta * _rgamma(1.0 - self.beta)
+                    * t**(-self.beta))
+        x = t / self.lam
+        return self.E * x**(self.alpha - self.beta) * _ml_grid(
+            self.alpha, self.alpha - self.beta + 1.0, -x**self.alpha)
+
 
 @dataclass(frozen=True)
-class ThreeParamMaxwell:
+class ThreeParamMaxwell(MaterialModel):
     """sigma + a1 D^alpha sigma = b0 strain."""
 
     a1: float
@@ -76,9 +113,21 @@ class ThreeParamMaxwell:
         _positive(self.b0, "b0")
         _order(self.alpha)
 
+    def _operator_terms(self):
+        return [(self.a1, self.alpha)], [(self.b0, 0.0)]
+
+    def _relaxation(self, t):
+        if self.alpha == 0.0:
+            return np.full(t.shape, self.b0 / (1.0 + self.a1))
+        return self.b0 * (1.0 - _ml_grid(self.alpha, 1.0, -t**self.alpha / self.a1))
+
+    def _creep(self, t):
+        # 1/Gamma(1 - alpha) vanishes at alpha = 1, leaving 1/b0
+        return (1.0 + self.a1 * t**(-self.alpha) * _rgamma(1.0 - self.alpha)) / self.b0
+
 
 @dataclass(frozen=True)
-class FracKelvinVoigt:
+class FracKelvinVoigt(MaterialModel):
     """sigma = b0 strain + b1 D^alpha strain."""
 
     b0: float
@@ -86,15 +135,25 @@ class FracKelvinVoigt:
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.b0, (int, float)) and math.isfinite(self.b0)
-                and self.b0 >= 0):
-            raise DomainError(f"b0 must be non-negative, got {self.b0}")
+        _non_negative(self.b0, "b0")
         _positive(self.b1, "b1")
         _order(self.alpha)
 
+    def _operator_terms(self):
+        return [], [(self.b0, 0.0), (self.b1, self.alpha)]
+
+    def _relaxation(self, t):
+        return self.b0 + self.b1 * _rgamma(1.0 - self.alpha) * t**(-self.alpha)
+
+    def _creep(self, t):
+        if self.alpha == 0.0:
+            return np.full(t.shape, 1.0 / (self.b0 + self.b1))
+        return t**self.alpha / self.b1 * _ml_grid(
+            self.alpha, self.alpha + 1.0, -(self.b0 / self.b1) * t**self.alpha)
+
 
 @dataclass(frozen=True)
-class FracZener:
+class FracZener(MaterialModel):
     """sigma + a1 D^alpha sigma = b0 strain + b1 D^alpha strain.
 
     b0 = 0 is admitted (no equilibrium modulus; the solid relaxes
@@ -109,9 +168,7 @@ class FracZener:
 
     def __post_init__(self):
         _positive(self.a1, "a1")
-        if not (isinstance(self.b0, (int, float)) and math.isfinite(self.b0)
-                and self.b0 >= 0):
-            raise DomainError(f"b0 must be non-negative, got {self.b0}")
+        _non_negative(self.b0, "b0")
         _positive(self.b1, "b1")
         _order(self.alpha)
         if self.b0 > 0 and self.b1 <= self.a1 * self.b0:
@@ -120,9 +177,18 @@ class FracZener:
                 f"inadmissible: b1={self.b1} <= a1*b0={self.a1 * self.b0}",
                 UserWarning, stacklevel=2)
 
+    def _operator_terms(self):
+        return [(self.a1, self.alpha)], [(self.b0, 0.0), (self.b1, self.alpha)]
+
+    def _relaxation(self, t):
+        if self.alpha == 0.0:
+            return np.full(t.shape, (self.b0 + self.b1) / (1.0 + self.a1))
+        return self.b0 + (self.b1 / self.a1 - self.b0) * _ml_grid(
+            self.alpha, 1.0, -t**self.alpha / self.a1)
+
 
 @dataclass(frozen=True)
-class PoyntingThomson:
+class PoyntingThomson(MaterialModel):
     """Two springpots in the driving branch with a retarded response
     branch; needs 0 <= gamma <= alpha <= beta <= 1."""
 
@@ -142,9 +208,15 @@ class PoyntingThomson:
             raise DomainError(
                 f"need gamma <= alpha <= beta, got {g}, {a}, {b}")
 
+    def _operator_terms(self):
+        ratio = self.E / self.E0
+        a, b, g, lam = self.alpha, self.beta, self.gamma, self.lam
+        return ([(ratio * lam**(a - g), a - g), (ratio * lam**(b - g), b - g)],
+                [(self.E * lam**a, a), (self.E * lam**b, b)])
+
 
 @dataclass(frozen=True)
-class ClassicalMaxwell:
+class ClassicalMaxwell(MaterialModel):
     """Spring and dashpot in series: sigma + tau Dsigma = E tau Dstrain."""
 
     E: float
@@ -154,9 +226,15 @@ class ClassicalMaxwell:
         _positive(self.E, "E")
         _positive(self.tau, "tau")
 
+    def _operator_terms(self):
+        return [(self.tau, 1.0)], [(self.E * self.tau, 1.0)]
+
+    def _relaxation(self, t):
+        return self.E * np.exp(-t / self.tau)
+
 
 @dataclass(frozen=True)
-class ClassicalKelvin:
+class ClassicalKelvin(MaterialModel):
     """Spring and dashpot in parallel: sigma = E strain + E tau Dstrain."""
 
     E: float
@@ -166,9 +244,13 @@ class ClassicalKelvin:
         _positive(self.E, "E")
         _positive(self.tau, "tau")
 
+    def _operator_terms(self):
+        return [], [(self.E, 0.0), (self.E * self.tau, 1.0)]
 
-MaterialModel = Union[SpringPot, FracMaxwell, ThreeParamMaxwell, FracKelvinVoigt,
-                      FracZener, PoyntingThomson, ClassicalMaxwell, ClassicalKelvin]
+    def _relaxation(self, t):
+        # the impulsive dashpot contribution at t = 0 is dropped
+        return np.full(t.shape, float(self.E))
+
 
 _RESPONSE_KINDS = ("relaxation", "creep", "complex")
 
@@ -212,6 +294,23 @@ class MaterialResponse:
                 f"n={self.abscissae.size})")
 
 
+def _operator_terms(m: MaterialModel):
+    """The model's rate-equation terms; refuses anything but a catalog model."""
+    if not isinstance(m, MaterialModel):
+        raise DomainError(f"unknown model {type(m).__name__}")
+    return m._operator_terms()
+
+
+def _ratio(lhs, rhs, s: complex) -> complex:
+    # D^nu -> s^nu; plain loops, since inversion calls this at every contour node
+    num, den = 0.0, 1.0
+    for c, nu in rhs:
+        num += c * s**nu
+    for c, nu in lhs:
+        den += c * s**nu
+    return num / den
+
+
 def transfer_function(m: MaterialModel, s) -> complex:
     """Stress-transform over strain-transform at the Laplace symbol s.
 
@@ -223,30 +322,7 @@ def transfer_function(m: MaterialModel, s) -> complex:
         raise DomainError("transfer function is not defined at s = 0")
     if s.imag == 0.0 and s.real < 0.0:
         raise BranchError(f"s = {s} lies on the negative real axis")
-    if isinstance(m, SpringPot):
-        return m.kappa * s**m.alpha
-    if isinstance(m, FracMaxwell):
-        sa = m.lam**m.alpha * s**m.alpha
-        return m.E * m.lam**m.beta * s**m.beta / (1.0 + sa)
-    if isinstance(m, ThreeParamMaxwell):
-        return m.b0 / (1.0 + m.a1 * s**m.alpha)
-    if isinstance(m, FracKelvinVoigt):
-        return m.b0 + m.b1 * s**m.alpha
-    if isinstance(m, FracZener):
-        sa = s**m.alpha
-        return (m.b0 + m.b1 * sa) / (1.0 + m.a1 * sa)
-    if isinstance(m, PoyntingThomson):
-        la, lb = m.lam**m.alpha, m.lam**m.beta
-        num = m.E * (la * s**m.alpha + lb * s**m.beta)
-        ratio = m.E / m.E0
-        den = 1.0 + ratio * (m.lam**(m.alpha - m.gamma) * s**(m.alpha - m.gamma)
-                             + m.lam**(m.beta - m.gamma) * s**(m.beta - m.gamma))
-        return num / den
-    if isinstance(m, ClassicalMaxwell):
-        return m.E * m.tau * s / (1.0 + m.tau * s)
-    if isinstance(m, ClassicalKelvin):
-        return m.E * (1.0 + m.tau * s)
-    raise DomainError(f"unknown model {type(m).__name__}")
+    return _ratio(*_operator_terms(m), s)
 
 
 def _time_grid(t_grid) -> np.ndarray:
@@ -267,64 +343,26 @@ def _ml_grid(alpha: float, beta: float, args: np.ndarray) -> np.ndarray:
     return np.array([ml_eval(p, float(z)) for z in args])
 
 
+def _invert_grid(transform, t: np.ndarray) -> np.ndarray:
+    # Talbot nodes avoid s = 0 and the branch cut: no transfer_function checks
+    return np.array([invert(transform, float(tk), _INVERT_TOL) for tk in t])
+
+
 def relaxation_modulus(m: MaterialModel, t_grid) -> MaterialResponse:
     """Stress response to a unit step strain, sampled at t_grid."""
     t = _time_grid(t_grid)
-    if isinstance(m, SpringPot):
-        if m.alpha == 1.0:
-            raise DomainError(
-                "springpot with order 1 is a dashpot: step-strain stress is "
-                "impulsive; use the classical viscous law instead")
-        g = m.kappa * _rgamma(1.0 - m.alpha) * t**(-m.alpha)
-    elif isinstance(m, FracMaxwell):
-        if m.alpha == 0.0:
-            # the derivative on the stress side degenerates to identity,
-            # leaving a pure power-law element of half strength
-            g = 0.5 * m.E * m.lam**m.beta * _rgamma(1.0 - m.beta) * t**(-m.beta)
-        else:
-            x = t / m.lam
-            g = m.E * x**(m.alpha - m.beta) * _ml_grid(
-                m.alpha, m.alpha - m.beta + 1.0, -x**m.alpha)
-    elif isinstance(m, ThreeParamMaxwell):
-        if m.alpha == 0.0:
-            g = np.full(t.shape, m.b0 / (1.0 + m.a1))
-        else:
-            g = m.b0 * (1.0 - _ml_grid(m.alpha, 1.0, -t**m.alpha / m.a1))
-    elif isinstance(m, FracKelvinVoigt):
-        g = m.b0 + m.b1 * _rgamma(1.0 - m.alpha) * t**(-m.alpha)
-    elif isinstance(m, FracZener):
-        if m.alpha == 0.0:
-            g = np.full(t.shape, (m.b0 + m.b1) / (1.0 + m.a1))
-        else:
-            g = m.b0 + (m.b1 / m.a1 - m.b0) * _ml_grid(
-                m.alpha, 1.0, -t**m.alpha / m.a1)
-    elif isinstance(m, ClassicalMaxwell):
-        g = m.E * np.exp(-t / m.tau)
-    elif isinstance(m, ClassicalKelvin):
-        # the impulsive dashpot contribution at t = 0 is dropped
-        g = np.full(t.shape, float(m.E))
-    elif isinstance(m, PoyntingThomson):
-        g = np.array([invert(lambda s: transfer_function(m, s) / s,
-                             float(tk), _INVERT_TOL) for tk in t])
-    else:
-        raise DomainError(f"unknown model {type(m).__name__}")
+    lhs, rhs = _operator_terms(m)
+    g = m._relaxation(t) if m._relaxation else _invert_grid(
+        lambda s: _ratio(lhs, rhs, s) / s, t)
     return MaterialResponse("relaxation", t, g)
 
 
 def creep_compliance(m: MaterialModel, t_grid) -> MaterialResponse:
     """Strain response to a unit step stress, sampled at t_grid."""
     t = _time_grid(t_grid)
-    if isinstance(m, SpringPot):
-        j = t**m.alpha / (m.kappa * gamma(1.0 + m.alpha))
-    elif isinstance(m, FracKelvinVoigt):
-        if m.alpha == 0.0:
-            j = np.full(t.shape, 1.0 / (m.b0 + m.b1))
-        else:
-            j = t**m.alpha / m.b1 * _ml_grid(
-                m.alpha, m.alpha + 1.0, -(m.b0 / m.b1) * t**m.alpha)
-    else:
-        j = np.array([invert(lambda s: 1.0 / (s * transfer_function(m, s)),
-                             float(tk), _INVERT_TOL) for tk in t])
+    lhs, rhs = _operator_terms(m)
+    j = m._creep(t) if m._creep else _invert_grid(
+        lambda s: 1.0 / (s * _ratio(lhs, rhs, s)), t)
     return MaterialResponse("creep", t, j)
 
 
@@ -336,36 +374,6 @@ def complex_modulus(m: MaterialModel, omega_grid) -> MaterialResponse:
     w = _time_grid(omega_grid)
     vals = np.array([transfer_function(m, 1j * float(wk)) for wk in w])
     return MaterialResponse("complex", w, vals)
-
-
-def _operator_terms(m: MaterialModel):
-    """(lhs, rhs) derivative-term lists for the model's rate equation.
-
-    Each term is (coefficient, order); the bare sigma on the left has
-    implied coefficient 1 and is not listed.
-    """
-    if isinstance(m, SpringPot):
-        return [], [(m.kappa, m.alpha)]
-    if isinstance(m, FracMaxwell):
-        return ([(m.lam**m.alpha, m.alpha)],
-                [(m.E * m.lam**m.beta, m.beta)])
-    if isinstance(m, ThreeParamMaxwell):
-        return [(m.a1, m.alpha)], [(m.b0, 0.0)]
-    if isinstance(m, FracKelvinVoigt):
-        return [], [(m.b0, 0.0), (m.b1, m.alpha)]
-    if isinstance(m, FracZener):
-        return [(m.a1, m.alpha)], [(m.b0, 0.0), (m.b1, m.alpha)]
-    if isinstance(m, PoyntingThomson):
-        ratio = m.E / m.E0
-        return ([(ratio * m.lam**(m.alpha - m.gamma), m.alpha - m.gamma),
-                 (ratio * m.lam**(m.beta - m.gamma), m.beta - m.gamma)],
-                [(m.E * m.lam**m.alpha, m.alpha),
-                 (m.E * m.lam**m.beta, m.beta)])
-    if isinstance(m, ClassicalMaxwell):
-        return [(m.tau, 1.0)], [(m.E * m.tau, 1.0)]
-    if isinstance(m, ClassicalKelvin):
-        return [], [(m.E, 0.0), (m.E * m.tau, 1.0)]
-    raise DomainError(f"unknown model {type(m).__name__}")
 
 
 def simulate_stress(m: MaterialModel, strain: SignalSeries) -> SignalSeries:

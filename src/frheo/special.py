@@ -63,24 +63,19 @@ class MLParams:
 
 @dataclass(frozen=True)
 class RabotnovParams:
-    """Kernel order alpha in (-1, 0], rate beta, and the aging time.
+    """Kernel order alpha in (-1, 0] and rate beta.
 
-    beta = 0 is admitted (the memory term simply vanishes); the aging
-    time is carried for the hereditary-integral routines and does not
-    affect the kernel itself.
+    beta = 0 is admitted (the memory term simply vanishes).
     """
 
     alpha: float
     beta: float
-    aging_time: float = 1.0
 
     def __post_init__(self):
         if not (-1.0 < self.alpha <= 0.0):
             raise DomainError(f"kernel order must lie in (-1, 0], got {self.alpha}")
         if not math.isfinite(self.beta):
             raise DomainError("kernel rate must be finite")
-        if not (self.aging_time > 0.0):
-            raise DomainError("aging time must be positive")
 
 
 def _sinpi(x: float) -> float:

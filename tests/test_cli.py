@@ -1,10 +1,12 @@
 """Command-line interface: formatting, ingestion, exit codes, round trips."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from frheo import cli, models
 from frheo.cli import ingest_csv, run
 from frheo.fracops import SignalSeries
 from frheo.nutting import CreepRecord
@@ -55,6 +57,14 @@ def test_respond_single_point_bytes(capsys):
                 "--tmin", "1", "--tmax", "1", "--points", "1"])
     assert code == 0
     assert capsys.readouterr().out == "t,value\n1,0.564189583547756\n"
+
+
+def test_every_model_has_exactly_one_cli_name():
+    catalog = sorted(c.__name__ for c in vars(models).values()
+                     if dataclasses.is_dataclass(c) and isinstance(c, type)
+                     and c.__module__ == models.__name__)
+    assert len(catalog) == 8
+    assert sorted(c.__name__ for c in cli._MODEL_SPECS.values()) == catalog
 
 
 def test_respond_complex_header(capsys):

@@ -3,7 +3,9 @@ time stepping, and the hereditary-kernel route."""
 
 import math
 import warnings
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,12 +72,46 @@ def test_transfer_zener_order_one_is_standard_linear_solid():
         assert abs(transfer_function(m, s) - want) < 1e-14 * abs(want)
 
 
-def test_transfer_poynting_hand_formula():
-    m = PoyntingThomson(2.0, 3.0, 1.5, 0.6, 0.8, 0.2)
-    s = 1.3
-    num = 2.0 * (1.5**0.6 * s**0.6 + 1.5**0.8 * s**0.8)
-    den = 1.0 + (2.0 / 3.0) * (1.5**0.4 * s**0.4 + 1.5**0.6 * s**0.6)
-    assert transfer_function(m, s) == pytest.approx(num / den, rel=1e-14)
+def _poynting_hand(m, s):
+    la, lb = m.lam**m.alpha, m.lam**m.beta
+    num = m.E * (la * s**m.alpha + lb * s**m.beta)
+    ratio = m.E / m.E0
+    den = 1.0 + ratio * (m.lam**(m.alpha - m.gamma) * s**(m.alpha - m.gamma)
+                         + m.lam**(m.beta - m.gamma) * s**(m.beta - m.gamma))
+    return num / den
+
+
+# each model's transfer function written out by hand, independently of
+# the operator terms it is derived from
+HAND_TRANSFER = {
+    "springpot": (SpringPot(1.3, 0.45), lambda m, s: m.kappa * s**m.alpha),
+    "fmaxwell": (FracMaxwell(2.0, 0.7, 0.4, 0.8),
+                 lambda m, s: m.E * m.lam**m.beta * s**m.beta
+                 / (1.0 + m.lam**m.alpha * s**m.alpha)),
+    "maxwell3": (ThreeParamMaxwell(1.2, 2.0, 0.55),
+                 lambda m, s: m.b0 / (1.0 + m.a1 * s**m.alpha)),
+    "fkelvinvoigt": (FracKelvinVoigt(1.0, 2.0, 0.5),
+                     lambda m, s: m.b0 + m.b1 * s**m.alpha),
+    "fzener": (FracZener(1.0, 0.5, 2.0, 0.5),
+               lambda m, s: (m.b0 + m.b1 * s**m.alpha) / (1.0 + m.a1 * s**m.alpha)),
+    "poynting": (PoyntingThomson(2.0, 3.0, 1.5, 0.6, 0.8, 0.2), _poynting_hand),
+    "cmaxwell": (ClassicalMaxwell(1.5, 0.8),
+                 lambda m, s: m.E * m.tau * s / (1.0 + m.tau * s)),
+    "ckelvin": (ClassicalKelvin(2.5, 1.3), lambda m, s: m.E * (1.0 + m.tau * s)),
+}
+
+# node k = 5 of the 16-node cotangent contour that inverts at t = 1
+_THETA = 5 * math.pi / 16
+TALBOT_NODE = 6.4 * _THETA * complex(1.0 / math.tan(_THETA), 1.0)
+
+
+@pytest.mark.parametrize("s", [1.3, 2j, 0.4 - 3j, TALBOT_NODE],
+                         ids=["1.3", "2j", "0.4-3j", "talbot"])
+@pytest.mark.parametrize("name", sorted(HAND_TRANSFER))
+def test_transfer_hand_formula(name, s):
+    m, hand = HAND_TRANSFER[name]
+    want = hand(m, complex(s))
+    assert abs(transfer_function(m, s) - want) <= 1e-14 * abs(want)
 
 
 def test_transfer_branch_cut_and_origin():
@@ -216,6 +252,23 @@ def test_three_param_creep_against_closed_form():
         got = creep_compliance(m, [t]).values[0]
         want = 0.5 * (1.0 + 1.2 * t**-0.55 / gamma(0.45))
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_three_param_creep_near_order_one_against_mpmath():
+    # contour inversion cannot certify the first grid point to 1e-8 here
+    # (drift 1.2e-7), so this response rests on the closed form
+    m = ThreeParamMaxwell(0.25228, 1.27089, 0.93206)
+    t = np.geomspace(0.0031529, 5.642, 171)
+    j = creep_compliance(m, t).values
+    a1, b0, alpha = (mpmath.mpf(v) for v in (m.a1, m.b0, m.alpha))
+    with mpmath.workdps(30):
+        for k in (0, 60, 170):
+            ref = mpmath.invertlaplace(lambda s: (1 + a1 * s**alpha) / (b0 * s),
+                                       mpmath.mpf(t[k]), method="talbot")
+            assert j[k] == pytest.approx(float(ref), rel=1e-12)
+    # at order one the dashpot's impulse is dropped, leaving 1 / b0
+    j = creep_compliance(ThreeParamMaxwell(0.5, 3.0, 1.0), [0.01, 1.0]).values
+    assert_allclose(j, 1.0 / 3.0, rtol=1e-15)
 
 
 def test_classical_maxwell_creep_is_affine():
@@ -418,6 +471,22 @@ def test_relaxation_time_inverts_the_strain_law():
         tau = relaxation_time_of_stress(psi, S, alpha, beta_exp, x)
         eps = S**beta_exp / psi * tau**alpha
         assert eps == pytest.approx(x, rel=1e-12)
+
+
+# ---------------------------------------------------------------- dispatch
+
+@pytest.mark.parametrize("call", [
+    lambda m: transfer_function(m, 1.0),
+    lambda m: relaxation_modulus(m, [1.0]),
+    lambda m: creep_compliance(m, [1.0]),
+    lambda m: complex_modulus(m, [1.0]),
+    lambda m: simulate_stress(m, SignalSeries(0.0, 0.1, [0.0, 1.0])),
+], ids=["transfer", "relaxation", "creep", "complex", "simulate"])
+@pytest.mark.parametrize("thing", [
+    "springpot", SimpleNamespace(kappa=1.0, alpha=0.5)], ids=["str", "lookalike"])
+def test_non_model_is_refused(call, thing):
+    with pytest.raises(DomainError, match="unknown model"):
+        call(thing)
 
 
 # ---------------------------------------------------------- response type

@@ -223,6 +223,4 @@ def test_kernel_domain_and_params():
         RabotnovParams(0.5, 1.0)  # order must be in (-1, 0]
     with pytest.raises(DomainError):
         RabotnovParams(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        RabotnovParams(-0.5, 1.0, aging_time=0.0)
     RabotnovParams(-0.5, 0.0)  # zero rate is allowed: memory term vanishes
