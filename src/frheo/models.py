@@ -99,6 +99,11 @@ class FracMaxwell(MaterialModel):
         return self.E * x**(self.alpha - self.beta) * _ml_grid(
             self.alpha, self.alpha - self.beta + 1.0, -x**self.alpha)
 
+    def _creep(self, t):
+        a, b, lam = self.alpha, self.beta, self.lam
+        return (t**b * _rgamma(1.0 + b) / lam**b
+                + lam**(a - b) * t**(b - a) * _rgamma(1.0 + b - a)) / self.E
+
 
 @dataclass(frozen=True)
 class ThreeParamMaxwell(MaterialModel):
@@ -186,6 +191,15 @@ class FracZener(MaterialModel):
         return self.b0 + (self.b1 / self.a1 - self.b0) * _ml_grid(
             self.alpha, 1.0, -t**self.alpha / self.a1)
 
+    def _creep(self, t):
+        a1, b0, b1, a = self.a1, self.b0, self.b1, self.alpha
+        if a == 0.0:
+            return np.full(t.shape, (1.0 + a1) / (b0 + b1))
+        # 1/(s G(s)) = a1/(b1 s) + (1 - a1 b0/b1) / (s (b0 + b1 s^alpha)):
+        # no cancellation, and b0 = 0 needs no special case
+        return a1 / b1 + (1.0 - a1 * b0 / b1) * t**a / b1 * _ml_grid(
+            a, a + 1.0, -(b0 / b1) * t**a)
+
 
 @dataclass(frozen=True)
 class PoyntingThomson(MaterialModel):
@@ -232,6 +246,9 @@ class ClassicalMaxwell(MaterialModel):
     def _relaxation(self, t):
         return self.E * np.exp(-t / self.tau)
 
+    def _creep(self, t):
+        return (1.0 + t / self.tau) / self.E
+
 
 @dataclass(frozen=True)
 class ClassicalKelvin(MaterialModel):
@@ -250,6 +267,9 @@ class ClassicalKelvin(MaterialModel):
     def _relaxation(self, t):
         # the impulsive dashpot contribution at t = 0 is dropped
         return np.full(t.shape, float(self.E))
+
+    def _creep(self, t):
+        return -np.expm1(-t / self.tau) / self.E
 
 
 _RESPONSE_KINDS = ("relaxation", "creep", "complex")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DivisionError, DomainError
-from .fracops import OrderLike, SignalSeries, _order, gl_derivative
+from .fracops import OrderLike, SignalSeries, gl_derivative
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +51,27 @@ def test_ml_json_document(capsys):
     assert set(doc) == {"command", "params", "result", "diagnostics"}
     assert doc["command"] == "ml"
     assert doc["result"]["value"] == pytest.approx(math.e, rel=1e-14)
+
+
+_ML_WITHOUT_MPMATH = """\
+import runpy, sys
+import frheo.cli
+print("mpmath" in sys.modules, file=sys.stderr)
+sys.argv = ["frheo", "ml", "--alpha", "0.5", "--z", "-1"]
+try:
+    runpy.run_module("frheo", run_name="__main__")
+except SystemExit as e:
+    print(e.code, "mpmath" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_mpmath_is_not_imported_unless_the_fallback_runs():
+    # importing mpmath takes about a fifth of a CLI start-up, and only
+    # the last Mittag-Leffler route needs it
+    done = subprocess.run([sys.executable, "-c", _ML_WITHOUT_MPMATH],
+                          capture_output=True, text=True)
+    assert done.stdout == "0.427583576155807\n"
+    assert done.stderr.splitlines() == ["False", "0 False"]
 
 
 def test_respond_single_point_bytes(capsys):

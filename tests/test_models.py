@@ -278,6 +278,24 @@ def test_classical_maxwell_creep_is_affine():
         assert got == pytest.approx((1.0 + t / 0.8) / 1.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("m", [
+    ClassicalMaxwell(1.5, 0.8),
+    ClassicalKelvin(2.0, 0.7),
+    FracMaxwell(2.0, 0.7, 0.3, 0.8),
+    FracMaxwell(2.0, 0.7, 0.6, 0.6),  # alpha = beta
+    FracMaxwell(2.0, 0.7, 0.0, 0.8),  # alpha = 0
+    FracZener(0.5, 1.0, 2.0, 0.6),
+    FracZener(0.5, 0.0, 2.0, 0.6),  # b0 = 0
+    FracZener(0.5, 1.0, 2.0, 0.0),  # alpha = 0
+], ids=repr)
+def test_creep_closed_form_against_inversion(m):
+    t = np.geomspace(0.01, 100.0, 9)
+    got = creep_compliance(m, t).values
+    ref = [invert(lambda s: 1.0 / (s * transfer_function(m, s)), float(tk), tol=1e-8)
+           for tk in t]
+    assert_allclose(got, ref, rtol=1e-6)
+
+
 # -------------------------------------------------------- complex modulus
 
 def test_complex_modulus_springpot_values():

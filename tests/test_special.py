@@ -2,15 +2,22 @@
 
 Reference values marked "frozen" were produced by a 60-digit
 direct-series evaluation (mpmath, mp.gamma) in a separate script; the
-identities use only stdlib math as the oracle.
+identities use only stdlib math as the oracle. The contour route is
+checked against a power series summed in mpmath at run time.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frheo import special
 from frheo.errors import DomainError, PoleError
+from frheo.fracops import SignalSeries
+from frheo.models import rabotnov_stress
 from frheo.special import MLParams, RabotnovParams, gamma, ml_eval, rabotnov_kernel
 
 
@@ -160,6 +167,93 @@ def test_ml_positive_axis_overflow():
     assert ml(1.0, 1.0, 709.0) == pytest.approx(math.exp(709.0), rel=1e-12)
     big = ml(2.0, 1.0, 500000.0)
     assert big == pytest.approx(math.cosh(math.sqrt(500000.0)), rel=1e-6)
+
+
+def ml_series_mp(a, b, z):
+    """Power series in mpmath, with enough digits for its cancellation."""
+    reach = abs(z)**(1.0 / a)  # the terms peak near k = reach / a, at about e^reach
+    with mpmath.workdps(30 + int(reach / 2.3)):
+        am, bm, zm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(z)
+        total, zk, k, small = mpmath.mpf(0), mpmath.mpf(1), 0, 0
+        while small < 3:
+            term = zk * mpmath.rgamma(am * k + bm)
+            total += term
+            small = small + 1 if abs(term) <= mpmath.eps * abs(total) else 0
+            zk *= zm
+            k += 1
+        return float(total)
+
+
+def contour_band(n, seed=4):
+    """Seeded (alpha, beta, z) on the negative axis where neither the
+    power series nor the asymptotic series certifies. Two fixed points
+    lead: the slowest one of the mpmath fallback (197 ms), and one whose
+    pole pair sits close to the parabola. The series oracle limits the
+    draws to |z|^(1/alpha) <= 250."""
+    rng = np.random.default_rng(seed)
+    out = [(0.68, 1.0, -41.5), (1.95, 1.0, -1090.69)]
+    while len(out) < n:
+        a, b = rng.uniform(0.05, 1.99), rng.uniform(0.5, 2.0)
+        z = -math.exp(rng.uniform(math.log(0.1), math.log(2000.0)))
+        if abs(z)**(1.0 / a) > 250.0:
+            continue
+        tight = 3e-12 if abs(z) <= 50.0 else 1e-9
+        rt, ra = special._taylor(a, b, z), special._alg_asym(a, b, z)
+        if (rt is None or rt[1] > tight) and (ra is None or ra[1] > tight):
+            out.append((a, b, z))
+    return out
+
+
+def test_ml_contour_route_against_mpmath_series():
+    certified = 0
+    for a, b, z in contour_band(60):
+        ref = ml_series_mp(a, b, z)
+        contract = 1e-10 if abs(z) <= 50.0 else 1e-6
+        assert ml(a, b, z) == pytest.approx(ref, rel=contract), (a, b, z)
+        value, est = special._ml_contour(a, b, z)
+        if est <= (3e-12 if abs(z) <= 50.0 else 1e-9):
+            certified += 1
+            # the estimate bounds the error it certifies
+            assert abs(value - ref) <= est * abs(ref), (a, b, z, est)
+    assert special._ml_contour(0.68, 1.0, -41.5)[1] <= 3e-12
+    assert certified >= 36
+
+
+# kernel order, rate, horizon and sample count of step-strain sweeps that
+# stay below, enter and run far past the band the contour route serves
+HEREDITARY_KERNELS = (
+    (-0.75, 2.0, 67.0, 1001),
+    (-0.62, 2.0, 82.0, 501),
+    (-0.50, 0.2, 67.0, 2001),
+    (-0.38, 2.0, 100.0, 501),
+    (-0.25, 0.4, 6.0, 2001),
+    (-0.25, 0.233, 20.0, 1001),
+    (-0.12, 0.233, 13.6, 2001),
+)
+
+
+def test_hereditary_kernels_need_no_mpmath(monkeypatch):
+    def refuse(a, b, z):
+        raise AssertionError(f"E_({a},{b})({z}) reached the mpmath fallback")
+
+    monkeypatch.setattr(special, "_series_mpf", refuse)
+    for alpha, beta, horizon, n in HEREDITARY_KERNELS:
+        step = SignalSeries(0.0, horizon / (n - 1), np.ones(n))
+        sigma = rabotnov_stress(RabotnovParams(alpha, beta), 1.0, step).values
+        assert np.all(np.isfinite(sigma))
+        assert np.all(np.diff(sigma) < 0.0)  # a step response relaxes monotonically
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(a=st.floats(0.05, 2.0, exclude_max=True), b=st.floats(0.5, 2.0),
+       x=st.floats(0.1, 50.0))
+def test_ml_recurrence_property(a, b, x):
+    # E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z); each value carries 1e-10
+    z = -x
+    lhs = ml(a, b, z)
+    shifted = z * ml(a, a + b, z)
+    tol = 2e-10 * (abs(lhs) + abs(shifted))
+    assert abs(lhs - (1.0 / gamma(b) + shifted)) <= tol
 
 
 def test_ml_params_validation():
