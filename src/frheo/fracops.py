@@ -79,12 +79,12 @@ class SignalSeries:
 def frac_deriv_power(nu: OrderLike, k: float, t: float) -> float:
     """Riemann-Liouville derivative of t**k, analytically.
 
-    Returns Gamma(k+1)/Gamma(k-nu+1) * t**(k-nu). Requires t > 0,
-    k > -1 and k - nu > -1 so both gamma arguments stay positive.
+    Returns Gamma(k+1)/Gamma(k-nu+1) * t**(k-nu). Requires a finite
+    t > 0, k > -1 and k - nu > -1 so both gamma arguments stay positive.
     """
     n = _order(nu)
-    if not (isinstance(t, (int, float)) and t > 0.0):
-        raise DomainError(f"time must be positive, got {t}")
+    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
+        raise DomainError(f"time must be positive and finite, got {t}")
     if not (k > -1.0):
         raise DomainError(f"exponent must exceed -1, got {k}")
     if not (k - n > -1.0):

@@ -287,14 +287,11 @@ class MaterialResponse:
     def __init__(self, kind: str, abscissae, values):
         if kind not in _RESPONSE_KINDS:
             raise DomainError(f"unknown response kind {kind!r}")
-        x = np.asarray(abscissae, dtype=float).copy()
+        x = np.array(abscissae, dtype=float)
         v = np.asarray(values, dtype=complex if kind == "complex" else float).copy()
-        if x.ndim != 1 or x.size < 1:
-            raise DomainError("response needs at least one abscissa")
-        if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-            raise DomainError("abscissae must be positive and finite")
-        if np.any(np.diff(x) <= 0.0):
-            raise DomainError("abscissae must be strictly increasing")
+        if x.ndim != 1:
+            raise DomainError("response abscissae must form a 1-d array")
+        _time_grid(x)
         if v.shape != x.shape:
             raise DomainError("values and abscissae lengths must match")
         x.flags.writeable = False

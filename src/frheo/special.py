@@ -22,30 +22,6 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 _EPS = 2.220446049250313e-16
 _LN_PI = math.log(math.pi)
-_SQRT_TWO_PI = 2.5066282746310002
-
-# Lanczos rational approximation, g = 607/128, 15 terms (Godfrey's set).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-# gamma overflows double just past this argument
-_GAMMA_OVERFLOW_X = 171.624376956302725
 
 
 @dataclass(frozen=True)
@@ -87,40 +63,23 @@ def _sinpi(x: float) -> float:
     return s if n % 2 == 0 else -s
 
 
-def _gamma_positive(x: float) -> float:
-    """Lanczos evaluation for x >= 0.5."""
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, 15):
-        acc += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    # split the power so the intermediate stays representable near the
-    # overflow edge
-    p = math.pow(t, 0.5 * (z + 0.5))
-    return _SQRT_TWO_PI * p * math.exp(-t) * p * acc
-
-
 def gamma(x: float) -> float:
     """Gamma function on the real line.
 
-    Raises PoleError at 0, -1, -2, ... and OverflowError once the value
-    exceeds double range (x above ~171.62).
+    CPython's math.gamma behind frheo's error taxonomy: raises
+    DomainError for a non-finite x, PoleError at 0, -1, -2, ... and
+    OverflowError once the value exceeds double range (x above ~171.62,
+    or |x| below ~5.6e-309).
     """
     if not math.isfinite(x):
         raise DomainError(f"gamma argument must be finite, got {x}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at {x}")
-    if x > _GAMMA_OVERFLOW_X:
-        raise OverflowError(f"gamma({x}) exceeds double range (+inf)")
-    if x >= 0.5:
-        return _gamma_positive(x)
-    sp = _sinpi(x)
-    if 1.0 - x > _GAMMA_OVERFLOW_X:
-        # deep negative tail: log-space reflection, value underflows
-        lg = math.lgamma(1.0 - x)
-        mag = math.exp(_LN_PI - math.log(abs(sp)) - lg) if lg < 745.0 else 0.0
-        return math.copysign(mag, sp)
-    return math.pi / (sp * _gamma_positive(1.0 - x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        sign = "+" if x > 0.0 else "-"
+        raise OverflowError(f"gamma({x}) exceeds double range ({sign}inf)") from None
 
 
 def _rgamma(x: float) -> float:
@@ -138,24 +97,32 @@ def _rgamma(x: float) -> float:
 
 
 def _series_predict(a: float, b: float, z: float):
-    """Estimate the term count and peak log-magnitude of the power series."""
+    """Estimate the term count and peak log-magnitude of the power series,
+    or None when either leaves double range: the series is then out of
+    reach."""
     x = abs(z)
     if x <= 1e-300:
         return 8, 0.0
     lx = math.log(x)
-    u = math.exp(lx / a)  # terms peak where a*k + b ~ u
+    lu = lx / a
+    if lu > 700.0:  # neither u below nor lgamma(u) would fit a double
+        return None
+    u = math.exp(lu)  # terms peak where a*k + b ~ u
     kpeak = max(0.0, (u - b) / a)
     peak = kpeak * lx - math.lgamma(max(a * kpeak + b, 1e-8)) if kpeak > 0 else 0.0
-    count = int(1.5 * kpeak + 0.8 * u / a + 40)
-    return count, max(0.0, peak)
+    count = 1.5 * kpeak + 0.8 * u / a + 40
+    if not (math.isfinite(count) and math.isfinite(peak)):
+        return None
+    return int(count), max(0.0, peak)
 
 
 def _taylor(a: float, b: float, z: float):
     """Compensated power series. Returns (sum, error estimate) or None
     when the series is out of reach for doubles."""
-    count, peak = _series_predict(a, b, z)
-    if count > 500 or peak > 690.0:
+    pred = _series_predict(a, b, z)
+    if pred is None or pred[0] > 500 or pred[1] > 690.0:
         return None
+    count = pred[0]
     if count * abs(math.log(max(abs(z), 1e-300))) > 600.0:
         return None  # z**k would overflow before the tail is reached
     s = 0.0
@@ -299,12 +266,6 @@ def _ml_contour(a: float, b: float, z: float):
     return fine, (abs(fine - coarse) + err) / abs(fine)
 
 
-def _mpf_work(a: float, b: float, z: float) -> float:
-    """Predicted cost (terms x digits) of the extended-precision fallback."""
-    count, peak = _series_predict(a, b, z)
-    digits = 30.0 if z > 0.0 else max(30.0, peak / math.log(10.0) + 25.0)
-    return count * digits
-
 def _series_mpf(a: float, b: float, z: float) -> float:
     """Extended-precision power series.
 
@@ -317,8 +278,11 @@ def _series_mpf(a: float, b: float, z: float) -> float:
     """
     from mpmath.ctx_mp import MPContext
 
-    _, peak = _series_predict(a, b, z)
-    dps = 30 if z > 0.0 else max(30, int(peak / math.log(10.0)) + 25)
+    pred = _series_predict(a, b, z)
+    if pred is None:
+        raise ConvergenceError(f"extended-precision series out of reach for E_({a},{b})({z})")
+    # the positive-axis series has no cancellation: 30 digits always suffice
+    dps = 30 if z > 0.0 else max(30, int(pred[1] / math.log(10.0)) + 25)
     for _ in range(10):
         ctx = MPContext()
         ctx.dps = dps
@@ -353,51 +317,44 @@ def _series_mpf(a: float, b: float, z: float) -> float:
     raise ConvergenceError(f"extended-precision series failed for E_({a},{b})({z})")
 
 
-def ml_eval(p: MLParams, z: float) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
-
-    Relative error <= 1e-10 for |z| <= 50 and <= 1e-6 elsewhere. Routes,
-    in order: the power series; for z < 0 and alpha < 2 the algebraic
-    asymptotic series, then the contour integral (each accepted at the
-    tight error level only); last the extended-precision series, or the
-    asymptotic series at the loose level where that series would cost too
-    much. Raises OverflowError when the exp(z**(1/alpha)) growth on the
-    positive axis leaves double range.
-    """
-    if not math.isfinite(z):
-        raise DomainError(f"ml argument must be finite, got {z}")
-    a, b = p.alpha, p.beta
+def _ml_route(a: float, b: float, z: float) -> float:
+    """E_{a,b}(z) from the first route that certifies it; see ml_eval."""
     if z == 0.0:
         return _rgamma(b)
     if a == 1.0 and b == 1.0:
         return math.exp(z)  # exact route; raises OverflowError natively
-    tight = 3e-12 if abs(z) <= 50.0 else 1e-9
-    loose = 3e-11 if abs(z) <= 50.0 else 3e-7
     if z > 0.0:
         # dominant growth is exp(z**(1/a))/a; refuse what double cannot hold
         plog = math.exp(math.log(z) / a) + (1.0 - b) / a * math.log(z) - math.log(a)
         if plog > 709.0:
             raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
-        r = _taylor(a, b, z)
+    tight = 3e-12 if abs(z) <= 50.0 else 1e-9
+    routes = (_taylor, _alg_asym, _ml_contour) if z < 0.0 and a < 2.0 else (_taylor,)
+    for route in routes:
+        r = route(a, b, z)
         if r is not None and r[1] <= tight:
             return r[0]
-        # positive-axis series has no cancellation: 30 digits always suffice
-        return _series_mpf(a, b, z)
-    r = _taylor(a, b, z)
-    if r is not None and r[1] <= tight:
-        return r[0]
-    ra = _alg_asym(a, b, z) if a < 2.0 else None
-    if ra is not None and ra[1] <= tight:
-        return ra[0]
-    if a < 2.0:
-        rc = _ml_contour(a, b, z)
-        if rc[1] <= tight:
-            return rc[0]
-    if _mpf_work(a, b, z) <= 2e6:
-        return _series_mpf(a, b, z)
-    if ra is not None and ra[1] <= loose:
-        return ra[0]
     return _series_mpf(a, b, z)
+
+
+def ml_eval(p: MLParams, z: float) -> float:
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
+
+    Relative error <= 1e-10 for |z| <= 50 and <= 1e-6 elsewhere. Routes,
+    in order: the power series; for z < 0 and alpha < 2 the algebraic
+    asymptotic series, then the contour integral (each accepted only when
+    its error estimate clears the tight level); last the
+    extended-precision series. Raises
+    OverflowError when the value leaves double range, as the
+    exp(z**(1/alpha)) growth on the positive axis does.
+    """
+    if not math.isfinite(z):
+        raise DomainError(f"ml argument must be finite, got {z}")
+    a, b = p.alpha, p.beta
+    v = _ml_route(a, b, z)
+    if not math.isfinite(v):
+        raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
+    return v
 
 
 def rabotnov_kernel(p: RabotnovParams, x: float) -> float:

@@ -256,3 +256,9 @@ def test_evaluation_errors_exit_one(tmp_path, capsys):
     assert run(["simulate", "--model", "springpot", "--kappa", "1",
                 "--alpha", "0.5", "--input", missing]) == 1
     assert "E_FORMAT" in capsys.readouterr().err
+
+
+def test_ml_out_of_double_range_exits_one(capsys):
+    assert run(["ml", "--alpha", "0.5", "--beta", "-300", "--z", "-10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("E_OVERFLOW")

@@ -77,6 +77,12 @@ def test_power_rule_domain():
         FractionalOrder(-0.1)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_power_rule_refuses_non_finite_time(t):
+    with pytest.raises(DomainError):
+        frac_deriv_power(0.5, 1.0, t)
+
+
 # ------------------------------------------------------------ gl operator
 
 def test_gl_zero_order_returns_input():

@@ -1,0 +1,76 @@
+"""Static hygiene of the package source, read with the ast module.
+
+Every module in src/frheo except the re-exporting __init__.py must use
+each name it imports, and every private module-level name
+(a leading underscore, not a dunder) must be read somewhere in the
+package; tests do not count as readers.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "frheo"
+TREES = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p))
+         for p in sorted(SRC.glob("*.py"))}
+CHECKED = sorted(name for name in TREES if name != "__init__.py")
+
+
+def _loaded(tree) -> set:
+    """Names a module reads: bare names and attribute names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _imported(tree) -> dict:
+    """Binding name -> line of every import in a module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def _private_defs(tree) -> dict:
+    """Private module-level functions, classes and assigned names -> line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_no_unused_import(module):
+    tree = TREES[module]
+    loaded = _loaded(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
+              if name not in loaded]
+    assert not unused, f"{module} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_no_dead_private_name(module):
+    read = set().union(*(_loaded(t) for t in TREES.values()))
+    for tree in TREES.values():  # a sibling importing the name reads it
+        read |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                 for a in n.names}
+    dead = [f"{name} (line {line})" for name, line in _private_defs(TREES[module]).items()
+            if name not in read]
+    assert not dead, f"{module} defines but never reads: {', '.join(dead)}"
