@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BranchError, DomainError, GridError, QuadratureError, StabilityError
 from .fracops import SignalSeries, _order, gl_derivative, gl_weights
-from .laplace import invert
+from .laplace import _bromwich
 from .special import MLParams, RabotnovParams, _rgamma, gamma, ml_eval
 
 _INVERT_TOL = 1e-8  # certification level for runtime transform inversion
@@ -318,8 +318,8 @@ def _operator_terms(m: MaterialModel):
     return m._operator_terms()
 
 
-def _ratio(lhs, rhs, s: complex) -> complex:
-    # D^nu -> s^nu; plain loops, since inversion calls this at every contour node
+def _ratio(lhs, rhs, s):
+    # D^nu -> s^nu, for one complex s or an array of contour nodes
     num, den = 0.0, 1.0
     for c, nu in rhs:
         num += c * s**nu
@@ -361,8 +361,9 @@ def _ml_grid(alpha: float, beta: float, args: np.ndarray) -> np.ndarray:
 
 
 def _invert_grid(transform, t: np.ndarray) -> np.ndarray:
-    # Talbot nodes avoid s = 0 and the branch cut: no transfer_function checks
-    return np.array([invert(transform, float(tk), _INVERT_TOL) for tk in t])
+    # the parabola's nodes avoid s = 0 and the branch cut: no
+    # transfer_function checks, and transform takes all nodes at once
+    return np.array([_bromwich(transform, float(tk), _INVERT_TOL) for tk in t])
 
 
 def relaxation_modulus(m: MaterialModel, t_grid) -> MaterialResponse:

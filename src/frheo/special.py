@@ -4,10 +4,11 @@ fractional-exponential relaxation kernel.
 Everything here is real-in/real-out and pure. The Mittag-Leffler
 evaluator tries its routes in a fixed order: the power series, then on
 the negative axis the algebraic asymptotic series and a double-precision
-Bromwich contour integral, and last an extended-precision series in
-mpmath. It accepts a route only when its internally estimated relative
-error clears the accuracy target: 1e-10 for |z| <= 50, 1e-6 beyond,
-with an order of magnitude of headroom where affordable.
+Bromwich integral on frheo.laplace's parabola node table, and last an
+extended-precision series in mpmath. It accepts a route only when its
+internally estimated relative error clears the accuracy target: 1e-10
+for |z| <= 50, 1e-6 beyond, with an order of magnitude of headroom
+where affordable.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
+from .laplace import _COARSE, _FINE, _NODE_LOG, _SPLIT, _WEIGHTS
 
 _EPS = 2.220446049250313e-16
 _LN_PI = math.log(math.pi)
+_MPF_TERMS = 200000  # term budget of the extended-precision series
 
 
 @dataclass(frozen=True)
@@ -206,27 +209,6 @@ def _alg_asym(a: float, b: float, z: float):
     return s, (env + _saddle_size(a, b, x)) / max(abs(s), 1e-300)
 
 
-def _parabola(n: int):
-    """Trapezoid rule with n + 1 nodes u = 0, h, ..., n h on the
-    Weideman-Trefethen parabola s(u) = mu (1 + iu)^2, h = 3/n,
-    mu = pi n / 30. Returns mu, h, log s at the nodes, and the weights
-    h mu / pi * (1 + iu) * e^s, doubled for u > 0 because the nodes at
-    -u are the complex conjugates."""
-    h, mu = 3.0 / n, math.pi * n / 30.0
-    w = 1.0 + 1j * h * np.arange(n + 1)
-    s = mu * w * w
-    weight = np.full(n + 1, 2.0 * h * mu / math.pi)
-    weight[0] *= 0.5
-    return mu, h, np.log(s), weight * w * np.exp(s)
-
-
-# a coarse and a fine rule; their drift estimates the quadrature error
-_COARSE, _FINE = _parabola(40), _parabola(48)
-_SPLIT = _COARSE[2].size
-_NODE_LOG = np.concatenate((_COARSE[2], _FINE[2]))
-_NODE_WEIGHT = np.concatenate((_COARSE[3], _FINE[3]))
-
-
 def _ml_contour(a: float, b: float, z: float):
     """E_{a,b}(z) for z < 0 and 0 < a < 2 from the Bromwich integral of
     s^(a-b)/(s^a - z) at t = 1 on the coarse and the fine parabola.
@@ -240,7 +222,7 @@ def _ml_contour(a: float, b: float, z: float):
     """
     with np.errstate(all="ignore"):
         x = np.exp(np.multiply.outer((-b, -a), _NODE_LOG))
-        g = _NODE_WEIGHT * x[0] / (1.0 - z * x[1])
+        g = _WEIGHTS * x[0] / (1.0 - z * x[1])
         coarse, fine = (float(v) for v in np.add.reduceat(g.real, (0, _SPLIT)))
         err = 4.0 * _EPS * float(np.abs(g[_SPLIT:]).sum())
     if a > 1.0:
@@ -294,7 +276,7 @@ def _series_mpf(a: float, b: float, z: float) -> float:
         zk = ctx.mpf(1)
         small = 0
         k = 0
-        while k < 200000:
+        while k < _MPF_TERMS:
             term = zk * ctx.rgamma(am * k + bm)
             s += term
             mag = abs(term)
@@ -308,6 +290,9 @@ def _series_mpf(a: float, b: float, z: float) -> float:
                 small = 0
             zk *= zm
             k += 1
+        else:  # the tail is still significant: the sum would be truncated
+            raise ConvergenceError(
+                f"extended-precision series for E_({a},{b})({z}) needs over {k} terms")
         if abs(s) == 0:
             return 0.0
         need = int(ctx.mag(tmax / abs(s)) * 0.30103) + 20
@@ -323,10 +308,10 @@ def _ml_route(a: float, b: float, z: float) -> float:
         return _rgamma(b)
     if a == 1.0 and b == 1.0:
         return math.exp(z)  # exact route; raises OverflowError natively
-    if z > 0.0:
-        # dominant growth is exp(z**(1/a))/a; refuse what double cannot hold
-        plog = math.exp(math.log(z) / a) + (1.0 - b) / a * math.log(z) - math.log(a)
-        if plog > 709.0:
+    if z > 1.0:
+        # past z = 1 the growth z**((1-b)/a) exp(z**(1/a))/a dominates
+        lu = math.log(z) / a
+        if lu > 700.0 or math.exp(lu) + (1.0 - b) * lu - math.log(a) > 709.0:
             raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
     tight = 3e-12 if abs(z) <= 50.0 else 1e-9
     routes = (_taylor, _alg_asym, _ml_contour) if z < 0.0 and a < 2.0 else (_taylor,)

@@ -262,3 +262,20 @@ def test_ml_out_of_double_range_exits_one(capsys):
     assert run(["ml", "--alpha", "0.5", "--beta", "-300", "--z", "-10"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("E_OVERFLOW")
+
+
+def test_ml_tiny_alpha_overflow_names_double_range(capsys):
+    assert run(["ml", "--alpha", "0.001", "--z", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("E_OVERFLOW") and "exceeds double range" in err
+
+
+@pytest.mark.parametrize("function", ["relaxation", "creep"])
+def test_respond_refuses_non_finite_inversion(function, capsys):
+    # E / E0 = 1e600 overflows the operator coefficients to inf
+    assert run(["respond", "--model", "poynting", "--E", "1e300", "--E0", "1e-300",
+                "--lambda", "1", "--alpha", "0.5", "--beta", "0.7", "--gamma", "0.2",
+                "--function", function, "--tmin", "1", "--tmax", "10",
+                "--points", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("E_CONVERGENCE")

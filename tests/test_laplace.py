@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frheo.errors import ConvergenceError, DomainError
-from frheo.laplace import _talbot_sum, invert
+from frheo.laplace import _rule_sums, invert
 from frheo.special import MLParams, ml_eval
 
 
@@ -54,9 +56,10 @@ def test_exponential_family_certified_range():
 
 
 def test_refinement_is_monotone():
-    f = lambda s: 1.0 / (1.0 + s)
-    levels = [_talbot_sum(f, 1.0, n).real for n in (8, 16, 32)]
-    assert abs(levels[0] - levels[1]) >= abs(levels[1] - levels[2])
+    coarse, fine, _ = (v.real for v in _rule_sums(lambda s: 1.0 / (1.0 + s), 1.0))
+    want = math.exp(-1.0)
+    assert abs(fine - want) <= abs(coarse - want)
+    assert abs(fine - want) <= abs(coarse - fine)
 
 
 def test_domain_checks():
@@ -75,6 +78,33 @@ def test_honest_decline_deep_in_tail():
     # exp(-40) is ~4e-18: unreachable at 1e-10 relative accuracy in doubles
     with pytest.raises(ConvergenceError):
         invert(lambda s: 1.0 / (s + 1.0), 40.0, tol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_contour_sum_rejected(bad):
+    with pytest.raises(ConvergenceError):
+        invert(lambda s: bad, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(pair=st.sampled_from(["exponential", "power", "mittag-leffler"]),
+       t=st.floats(1e-2, 1e2), a=st.floats(0.1, 1.0), nu=st.floats(0.1, 2.5),
+       lam=st.floats(0.1, 2.0), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_known_pairs_certify_or_decline(pair, t, a, nu, lam, tol):
+    # a is the decay rate of the exponential and the order of the
+    # Mittag-Leffler pair; |z| <= 50 keeps ml_eval's reference at 1e-10
+    assume(pair != "mittag-leffler" or lam * t**a <= 50.0)
+    transform, want = {
+        "exponential": (lambda s: 1.0 / (s + a), math.exp(-a * t)),
+        "power": (lambda s: s**-nu, t**(nu - 1.0) / math.gamma(nu)),
+        "mittag-leffler": (lambda s: s**(a - 1.0) / (s**a + lam),
+                           ml_eval(MLParams(a, 1.0), -lam * t**a)),
+    }[pair]
+    try:
+        got = invert(transform, t, tol)
+    except ConvergenceError:
+        return
+    assert abs(got - want) <= 10.0 * tol * abs(want)
 
 
 def test_imaginary_residue_rejected():

@@ -208,6 +208,27 @@ def test_poynting_collapse_to_scaled_springpot():
     assert_allclose(got, want, rtol=1e-6)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_poynting_against_mpmath_talbot(seed):
+    # seeded parameter sets and times; the reference inverts the hand
+    # formula on mpmath's Talbot contour in 25 digits
+    rng = np.random.default_rng(seed)
+    g, a, b = (float(v) for v in np.sort(rng.uniform(0.05, 0.95, 3)))
+    E, E0, lam = (float(v) for v in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
+    m = PoyntingThomson(E, E0, lam, a, b, g)
+    t = np.sort(np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 5)))
+    g_t, j_t = relaxation_modulus(m, t).values, creep_compliance(m, t).values
+    with mpmath.workdps(25):
+        for k, tk in enumerate(t):
+            tk = mpmath.mpf(tk)
+            g_ref = mpmath.invertlaplace(lambda s: _poynting_hand(m, s) / s, tk,
+                                         method="talbot")
+            j_ref = mpmath.invertlaplace(lambda s: 1 / (s * _poynting_hand(m, s)), tk,
+                                         method="talbot")
+            assert g_t[k] == pytest.approx(float(g_ref), rel=1e-8)
+            assert j_t[k] == pytest.approx(float(j_ref), rel=1e-8)
+
+
 def test_classical_kelvin_relaxation_is_flat():
     g = relaxation_modulus(ClassicalKelvin(2.5, 1.0), SPOT_TIMES).values
     assert_allclose(g, 2.5, rtol=0.0)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frheo import special
-from frheo.errors import DomainError, PoleError
+from frheo.errors import ConvergenceError, DomainError, PoleError
 from frheo.fracops import SignalSeries
 from frheo.models import rabotnov_stress
 from frheo.special import MLParams, RabotnovParams, gamma, ml_eval, rabotnov_kernel
@@ -207,6 +207,21 @@ def ml_series_mp(a, b, z):
             zk *= zm
             k += 1
         return float(total)
+
+
+def test_ml_positive_axis_tiny_alpha_has_no_growth():
+    # z**(1/a) = 0.5**2000 lies far below 1, so the exponential growth the
+    # overflow guard bounds is absent and E is about 2
+    assert ml(0.0005, 2.0, 0.5) == pytest.approx(ml_series_mp(0.0005, 2.0, 0.5), rel=1e-10)
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        ml(0.001, 1.0, 3.0)  # z**(1/a) = 3**1000
+
+
+def test_ml_truncated_extended_series_declines(monkeypatch):
+    # next to z = 1 at tiny a the terms z**k decay only past k ~ 1e10
+    monkeypatch.setattr(special, "_MPF_TERMS", 3000)
+    with pytest.raises(ConvergenceError):
+        ml(1e-12, 1.0, 1.0 - 1e-9)
 
 
 def contour_band(n, seed=4):
