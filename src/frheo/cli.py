@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -67,6 +68,41 @@ def _flag(field: str) -> str:
     return "--lambda" if field == "lam" else f"--{field}"
 
 
+def _bulk_signal(p: Path):
+    """The signal of a plain t,value file, parsed in bulk, or None.
+
+    Plain means UTF-8 without quotes or carriage returns, the header on
+    the first line, every needed cell a number and a uniform grid; the
+    values are then those of the row scan in ingest_csv. Anything else
+    returns None, and the row scan names the offending line.
+    """
+    data = p.read_bytes()
+    end = data.find(b"\n")
+    if (end < 0 or b'"' in data or b"\r" in data
+            or data.count(b"\n", end) == len(data) - end):  # no rows
+        return None
+    try:
+        header = data[:end].decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    col = {c.strip().lower(): i for i, c in enumerate(header.split(","))}
+    if "t" not in col or "value" not in col or "stress" in col and "strain" in col:
+        return None
+    try:
+        t, v = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1,
+                          usecols=(col["t"], col["value"]), ndmin=2, unpack=True,
+                          encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if t.size < 2:
+        return None
+    dt = t[1] - t[0]
+    # the row scan's comparisons, so that NaN passes here as it does there
+    if dt <= 0.0 or np.any(np.abs(np.diff(t) - dt) > 1e-9 * abs(dt)):
+        return None
+    return SignalSeries(t[0], dt, v)
+
+
 def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
     """Load a creep-record file (t,stress,strain) or a signal file
     (t,value). Columns are matched by name, case-insensitively, in any
@@ -75,6 +111,9 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"input file not found: {path}")
+    series = _bulk_signal(p)
+    if series is not None:
+        return series
     with open(p, newline="", encoding="utf-8-sig") as fh:
         raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
                if row and any(cell.strip() for cell in row)]
@@ -171,10 +210,9 @@ def _model_params(args) -> dict:
 
 
 def _table(names, columns) -> str:
-    lines = [",".join(names)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["{:.15g}"] * len(names)).format
+    lines = map(row, *(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([",".join(names), *lines]) + "\n"
 
 
 def _json_doc(command: str, params: dict, result: dict, diagnostics: dict) -> str:

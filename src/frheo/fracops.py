@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DomainError, GridError
 from .special import gamma
 
+_DIRECT = 1024  # leading kernel samples that _causal_convolve sums directly
+
 
 @dataclass(frozen=True)
 class FractionalOrder:
@@ -107,6 +109,34 @@ def gl_weights(nu: OrderLike, n: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(1.0 - (order + 1.0) / j)))
 
 
+def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First len(b) samples of the convolution a * b, for an a at least
+    as long as b.
+
+    The leading _DIRECT samples of a are summed directly, so each output
+    gets them as a plain direct sum, within a few
+    eps * sum_j |a_j| |b_(i-j)| of exact. The rest of a reaches only the
+    outputs past _DIRECT and goes through one real FFT, whose error of
+    about eps * |a_tail| * |b| (2-norms) spreads evenly over them; where
+    a decays, as Grunwald-Letnikov weights do (Lubich, SIAM J. Math.
+    Anal. 17(3), 1986), that stays below the componentwise bound for a b
+    that rises from rest. One FFT over all of a would instead swamp the
+    small early outputs of a ramp or a creep curve.
+    """
+    n = b.size
+    out = np.convolve(b, a[:_DIRECT])[:n]
+    # b's leading zeros reach no output through the tail; skipping them
+    # keeps the outputs before a step exact zeros
+    start = int(np.argmax(b != 0.0))
+    rest = n - _DIRECT - start
+    if rest > 0:
+        size = 1 << (2 * rest - 2).bit_length()
+        spec = (np.fft.rfft(a[_DIRECT:_DIRECT + rest], size)
+                * np.fft.rfft(b[start:start + rest], size))
+        out[n - rest:] += np.fft.irfft(spec, size)[:rest]
+    return out
+
+
 def gl_derivative(s: SignalSeries, nu: OrderLike) -> SignalSeries:
     """Discrete fractional derivative of order nu on the signal's grid.
 
@@ -119,12 +149,19 @@ def gl_derivative(s: SignalSeries, nu: OrderLike) -> SignalSeries:
     For f = t**k with k = nu that term vanishes, since D^nu t**k is a
     constant, and the error at time t is, to leading order,
     zeta(-k)/Gamma(-nu) * dt**(k+1) * t**(-nu-1): order k+1, not 1.
+
+    Rounding: sample n is within a few eps * dt**(-nu) *
+    sum_j |w_j| |values[n-j]| of the exact sum over the same doubles.
+    Up to 1024 samples the sums are direct, so this holds for any
+    signal. Past that the far weights go through an FFT, which makes the
+    cost O(n log n), and the bound holds for signals that rise from rest
+    (ramps, creep curves, sines and steps from zero; checked to 16000
+    samples); elsewhere the error is that bound plus a normwise
+    eps * |w| * |values| spread over the samples.
     """
     order = _order(nu)
     m = len(s)
-    w = gl_weights(order, m)
-    # direct O(n^2) convolution; grids here are desk-scale
-    conv = np.convolve(s.values, w)[:m]
+    conv = _causal_convolve(gl_weights(order, m), s.values)
     return SignalSeries(s.t0, s.dt, s.dt ** (-order) * conv)
 
 

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, DomainError, GridError, QuadratureError, StabilityError
-from .fracops import SignalSeries, _order, gl_derivative, gl_weights
+from .fracops import SignalSeries, _causal_convolve, _order, gl_derivative, gl_weights
 from .laplace import _bromwich
 from .special import MLParams, RabotnovParams, _rgamma, gamma, ml_eval
 
 _INVERT_TOL = 1e-8  # certification level for runtime transform inversion
+_BLOCK = 128  # base block of the Toeplitz solve behind simulate_stress
 
 
 def _positive(value, name: str) -> None:
@@ -394,14 +395,51 @@ def complex_modulus(m: MaterialModel, omega_grid) -> MaterialResponse:
     return MaterialResponse("complex", w, vals)
 
 
+def _toeplitz_solve(col: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with T x = y, where T is the lower-triangular Toeplitz matrix
+    whose first column is col.
+
+    Solved by halves (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 6(3), 1985): solve the first half, take its causal
+    convolution with col off the second half, recurse. A base block is a
+    product with the inverse of T's leading block plus one step of
+    iterative refinement; without that step the forward error grew
+    tenfold past that of substitution sample by sample where T is ill
+    conditioned (a dashpot with tau >> dt). The cost is O(n log^2 n).
+    """
+    size = min(_BLOCK, y.size)
+    k = np.arange(size)
+    lag = k[:, None] - k[None, :]
+    lead = np.where(lag >= 0, col[np.maximum(lag, 0)], 0.0)
+    inv = np.linalg.inv(lead)
+    x = y.copy()
+
+    def solve(lo, hi):
+        n = hi - lo
+        if n <= size:
+            rhs, a = x[lo:hi].copy(), inv[:n, :n]
+            z = a @ rhs
+            x[lo:hi] = z + a @ (rhs - lead[:n, :n] @ z)
+            return
+        mid = lo + size * (-(-n // size) // 2)
+        solve(lo, mid)
+        head = np.zeros(n)
+        head[:mid - lo] = x[lo:mid]
+        x[mid:hi] -= _causal_convolve(col[:n], head)[mid - lo:]
+        solve(mid, hi)
+
+    solve(0, y.size)
+    return x
+
+
 def simulate_stress(m: MaterialModel, strain: SignalSeries) -> SignalSeries:
     """March the model's rate equation over an arbitrary strain history.
 
     Every fractional derivative is replaced by its discrete convolution
-    sum and the update is solved implicitly for the newest stress
-    sample, which keeps the recursion stable for any positive
-    coefficients. Requires a history starting at time zero with zero
-    initial strain.
+    sum, and the stress-side sums combine into one lower-triangular
+    Toeplitz system that is solved implicitly for all samples at once,
+    which keeps the recursion stable for any positive coefficients.
+    Requires a history starting at time zero with zero initial strain.
     """
     if strain.t0 != 0.0:
         raise DomainError("strain history must start at t = 0")
@@ -415,19 +453,16 @@ def simulate_stress(m: MaterialModel, strain: SignalSeries) -> SignalSeries:
         rhs += coef * gl_derivative(strain, order).values
     if not lhs:
         return SignalSeries(0.0, dt, rhs)
-    scaled = [(coef * dt**(-order), gl_weights(order, n)) for coef, order in lhs]
+    scaled = [(coef * dt**(-order), order) for coef, order in lhs]
     pivot = 1.0 + sum(c for c, _ in scaled)
     if not (math.isfinite(pivot) and pivot > 0.0):
         raise StabilityError(f"implicit update coefficient {pivot} is unusable")
-    sigma = np.zeros(n)
-    for i in range(n):
-        acc = rhs[i]
-        if i > 0:
-            past = sigma[i - 1::-1]  # sigma_{i-1}, ..., sigma_0
-            for c, w in scaled:
-                acc -= c * np.dot(w[1:i + 1], past)
-        sigma[i] = acc / pivot
-    return SignalSeries(0.0, dt, sigma)
+    # sigma + sum c D^nu sigma as one weight column: W = delta_0 + sum c w^(nu)
+    col = np.zeros(n)
+    col[0] = 1.0
+    for c, order in scaled:
+        col += c * gl_weights(order, n)
+    return SignalSeries(0.0, dt, _toeplitz_solve(col, rhs))
 
 
 # quadrature refuses kernels more singular than this on coarse grids
@@ -463,7 +498,7 @@ def rabotnov_stress(p: RabotnovParams, E: float, strain: SignalSeries) -> Signal
         cum[k] = 1.0 - ml_eval(mlp, -p.beta * (k * strain.dt)**ap1)
     step = np.diff(cum)
     avg = 0.5 * (vals[:-1] + vals[1:])
-    memory = np.convolve(avg, step)[:n - 1]
+    memory = _causal_convolve(step, avg)
     sigma = np.empty(n)
     sigma[0] = E * vals[0]
     sigma[1:] = E * (vals[1:] - memory)

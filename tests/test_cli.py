@@ -5,11 +5,16 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from frheo import cli, models
 from frheo.cli import ingest_csv, run
+from frheo.errors import FrheoError
 from frheo.fracops import SignalSeries
 from frheo.nutting import CreepRecord
 from frheo.special import gamma
@@ -160,6 +165,85 @@ def test_ingest_rejects_malformed_files(tmp_path):
     missing_cell = write(tmp_path / "cell.csv", "t,value\n1,0.1\n2\n")
     with pytest.raises(Exception, match="missing value cell"):
         ingest_csv(missing_cell)
+
+
+def ingest_outcome(path):
+    """What ingest_csv makes of a file: the parsed data, down to the bits,
+    or the class and text of the frheo error it raises."""
+    try:
+        got = ingest_csv(path)
+    except FrheoError as e:
+        return type(e).__name__, str(e)
+    if isinstance(got, SignalSeries):
+        return "signal", got.t0, got.dt, got.values.tobytes()
+    return "records", [dataclasses.astuple(r) for r in got]
+
+
+def row_scan_outcome(path):
+    with mock.patch.object(cli, "_bulk_signal", lambda p: None):
+        return ingest_outcome(path)
+
+
+def test_ingest_plain_signal_takes_the_bulk_path(tmp_path):
+    path = ramp_csv(tmp_path, dt=0.001)
+    series = cli._bulk_signal(Path(path))
+    assert series is not None and len(series) == 1001
+    assert ingest_outcome(path) == row_scan_outcome(path)
+
+
+ODD_CELLS = ("oops", "", "  ", "1_0", "nan", "inf", "-Infinity", "0x10", "1e400",
+             " 2.5 ", "+3", "١", "1\x0c", "1 2", "#4", "2.5#4")
+
+
+@st.composite
+def signal_files(draw):
+    """Text of a t,value file with one of the faults people's files have,
+    or none, in any of the layouts ingest_csv accepts."""
+    n = draw(st.integers(0, 8))
+    dt = draw(st.sampled_from([0.1, 0.25, 1e-3, 3.0]))
+    t0 = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    vals = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    rows = [[repr(t0 + k * dt), repr(v)] for k, v in enumerate(vals)]
+    k, c = draw(st.integers(0, max(n - 1, 0))), draw(st.integers(0, 1))
+    fault = draw(st.sampled_from(["none", "step", "cell", "cell", "quote", "short"]))
+    if not rows:
+        pass
+    elif fault == "step":  # a step off the uniform grid
+        rows[k][0] = repr(float(rows[k][0])
+                          + draw(st.sampled_from([0.3, -0.3, 3e-9, 1e-12])) * dt)
+    elif fault == "cell":
+        rows[k][c] = draw(st.sampled_from(ODD_CELLS))
+    elif fault == "quote":
+        rows[k][c] = f'"{rows[k][c]}"'
+    elif fault == "short":
+        rows[k].pop()
+    header = draw(st.sampled_from([["t", "value"], ["T", " Value "], ["t", "value", "note"],
+                                   ["t", "value"], ["t", "stress", "strain"], ["a", "b"]]))
+    if len(header) == 3:
+        rows = [r + ["x"] for r in rows]
+    if draw(st.booleans()):  # columns the other way round
+        header, rows = header[::-1], [r[::-1] for r in rows]
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # blank lines, the header's too
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", ","])))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+@settings(derandomize=True, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=signal_files())
+@example(text="t,value\n0,1\n0.1,2\n0.2000000003,3\n")  # off the grid by 3e-9
+@example(text="t,value\n0,1\n1,2.5#4\n")  # no comment syntax
+@example(text="t,value\n1,1\n0,2\n-1,3\n")  # uniform but decreasing
+@example(text='note,x,t,value\n"a,b",0,1,5\n"a,b",1,2,6\n')  # a quoted comma
+def test_bulk_ingest_matches_the_row_scan(tmp_path, text):
+    # the bulk parse returns the row scan's arrays bit for bit or leaves
+    # the file to it, so every diagnostic stays the same; no traceback
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert ingest_outcome(str(path)) == row_scan_outcome(str(path))
 
 
 # -------------------------------------------------------------- round trips

@@ -1,15 +1,22 @@
 """Discrete fractional-derivative operators against the analytic power rule."""
 
 import math
+import operator
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from frheo.errors import DomainError, GridError
 from frheo.fracops import (FractionalOrder, SignalSeries, caputo_derivative,
                            frac_deriv_power, gl_derivative, gl_weights)
+
+
+EPS = np.finfo(float).eps
 
 
 def ramp(dt, tmax=1.0):
@@ -120,6 +127,65 @@ def test_gl_linearity():
     parts = 2.5 * gl_derivative(sx, 0.6).values - 1.25 * gl_derivative(sy, 0.6).values
     scale = np.max(np.abs(parts))
     assert np.max(np.abs(mix - parts)) < 1e-12 * scale
+
+
+def _scaled_ints(x):
+    """The doubles of x as integers over one common power of two."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (shift - d.bit_length() + 1) for n, d in ratios], shift
+
+
+GL_SIGNALS = {
+    "ramp": lambda u: u,
+    "creep": lambda u: u**0.3,
+    "sine": lambda u: np.sin(6.0 * math.pi * u),
+    "step": lambda u: np.where(u >= 0.4, 0.7, 0.0),  # zero well past 1024 samples
+}
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.93])
+@pytest.mark.parametrize("shape", sorted(GL_SIGNALS))
+def test_gl_componentwise_error_against_exact_sum(shape, nu):
+    # 4000 samples reach past the directly summed weights; on the unit
+    # grid each sample is the bare convolution, checked against its
+    # exact rational value at every early index and a spread of late ones
+    n = 4000
+    v = GL_SIGNALS[shape](np.arange(n) / n)
+    w = gl_weights(nu, n)
+    got = gl_derivative(SignalSeries(0.0, 1.0, v), nu).values
+    wi, ws = _scaled_ints(w)
+    vi, vs = _scaled_ints(v)
+    for i in [*range(300), *range(300, n, 97), n - 1]:
+        exact = Fraction(sum(map(operator.mul, wi[:i + 1], vi[i::-1])), 1 << (ws + vs))
+        bound = 4.0 * EPS * float(np.dot(np.abs(w[:i + 1]), np.abs(v[i::-1])))
+        assert abs(Fraction(got[i]) - exact) <= bound, f"sample {i}"
+
+
+def test_gl_short_signals_are_direct_sums():
+    # up to 1024 samples the operator is the plain direct convolution
+    v = np.random.default_rng(2).standard_normal(1024)
+    got = gl_derivative(SignalSeries(0.0, 1.0, v), 0.37).values
+    assert np.array_equal(got, np.convolve(v, gl_weights(0.37, 1024))[:1024])
+
+
+# kept clear of subnormal products, whose absolute rounding no relative
+# bound covers
+COEFFICIENT = st.floats(-4.0, 4.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(2, 3000), nu=st.floats(0.0, 1.0), a=COEFFICIENT, b=COEFFICIENT,
+       seed=st.integers(0, 2**16))
+def test_gl_linearity_across_the_direct_block(n, nu, a, b, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    mix = gl_derivative(SignalSeries(0.0, 1.0, a * x + b * y), nu).values
+    parts = (a * gl_derivative(SignalSeries(0.0, 1.0, x), nu).values
+             + b * gl_derivative(SignalSeries(0.0, 1.0, y), nu).values)
+    w = np.abs(gl_weights(nu, n))
+    bound = np.convolve(np.abs(a * x) + np.abs(b * y), w)[:n]
+    assert np.all(np.abs(mix - parts) <= 16.0 * EPS * bound)
 
 
 @pytest.mark.parametrize("k,nu", [(1.0, 0.25), (1.0, 0.75), (2.0, 0.5)])

@@ -74,3 +74,32 @@ def test_no_dead_private_name(module):
     dead = [f"{name} (line {line})" for name, line in _private_defs(TREES[module]).items()
             if name not in read]
     assert not dead, f"{module} defines but never reads: {', '.join(dead)}"
+
+
+def _outside_convolution_helper(tree):
+    """Nodes of a module outside the body of fracops._causal_convolve."""
+    skip = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and f.name == "_causal_convolve" for n in ast.walk(f)}
+    return (n for n in ast.walk(tree) if id(n) not in skip)
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_one_convolution_path(module):
+    # every convolution goes through fracops._causal_convolve, so that a
+    # direct O(n^2) sum or an unsplit FFT cannot come back unnoticed
+    found = [f"{_dotted(n)} (line {n.lineno})"
+             for n in _outside_convolution_helper(TREES[module])
+             if isinstance(n, ast.Attribute)
+             and (_dotted(n).split(".")[:2] in (["np", "fft"], ["numpy", "fft"])
+                  or _dotted(n) in ("np.convolve", "numpy.convolve"))]
+    assert not found, f"{module} convolves outside _causal_convolve: {', '.join(found)}"

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from frheo.errors import BranchError, DomainError, GridError, QuadratureError
-from frheo.fracops import SignalSeries, gl_derivative
+from frheo.errors import (BranchError, DomainError, GridError, QuadratureError,
+                          StabilityError)
+from frheo.fracops import SignalSeries, gl_derivative, gl_weights
 from frheo.laplace import invert
 from frheo.models import (ClassicalKelvin, ClassicalMaxwell, FracKelvinVoigt,
                           FracMaxwell, FracZener, MaterialResponse,
@@ -406,6 +407,70 @@ def test_simulate_preconditions():
         simulate_stress(m, SignalSeries(1.0, 0.1, [0.0, 1.0]))
     with pytest.raises(DomainError):
         simulate_stress(m, SignalSeries(0.0, 0.1, [0.5, 1.0]))
+
+
+def test_simulate_refuses_unusable_pivot():
+    # tau / dt overflows the implicit update coefficient to infinity
+    with pytest.raises(StabilityError, match="inf"):
+        simulate_stress(ClassicalMaxwell(1e-300, 1e308), SignalSeries(0.0, 1e-10, [0.0, 1.0]))
+
+
+def strain_history(shape, n):
+    """(dt, samples) of a seeded strain history on [0, 5], zero at t = 0."""
+    t = np.linspace(0.0, 5.0, n)
+    if shape == "ramp":
+        v = 0.2 * t
+    elif shape == "sine":
+        v = np.sin(2.0 * math.pi * 1.3 * t)
+    else:  # a creep curve with 1% multiplicative noise
+        v = (t / 5.0)**0.4 * (1.0 + 0.01 * np.random.default_rng(7).standard_normal(n))
+    return t[1], v
+
+
+def forward_substitution(m, strain):
+    """The per-sample implicit march, one dot product per term and sample:
+    an O(n^2) oracle for the blocked Toeplitz solve."""
+    lhs, rhs_terms = m._operator_terms()
+    n, dt = len(strain), strain.dt
+    rhs = np.zeros(n)
+    for coef, order in rhs_terms:
+        rhs += coef * gl_derivative(strain, order).values
+    scaled = [(coef * dt**(-order), gl_weights(order, n)) for coef, order in lhs]
+    pivot = 1.0 + sum(c for c, _ in scaled)
+    sigma = np.zeros(n)
+    for i in range(n):
+        acc = rhs[i]
+        for c, w in scaled:
+            acc -= c * np.dot(w[1:i + 1], sigma[i - 1::-1]) if i else 0.0
+        sigma[i] = acc / pivot
+    return sigma
+
+
+@pytest.mark.parametrize("shape", ["ramp", "sine", "noisy"])
+@pytest.mark.parametrize("name", sorted(HAND_TRANSFER))
+def test_simulate_matches_forward_substitution(name, shape):
+    m = HAND_TRANSFER[name][0]
+    dt, v = strain_history(shape, 3000)
+    strain = SignalSeries(0.0, dt, v)
+    got = simulate_stress(m, strain).values
+    want = forward_substitution(m, strain)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_TRANSFER))
+def test_simulate_discrete_equation_residual(name):
+    # sigma + sum c D^nu sigma = sum b D^beta strain on the grid, to
+    # 1e-14 of the equation's largest terms, at 16000 samples
+    m = HAND_TRANSFER[name][0]
+    dt, v = strain_history("sine", 16000)
+    sigma = simulate_stress(m, SignalSeries(0.0, dt, v)).values
+    lhs, rhs = m._operator_terms()
+    left = sigma + sum(c * gl_derivative(SignalSeries(0.0, dt, sigma), nu).values
+                       for c, nu in lhs)
+    right = sum(c * gl_derivative(SignalSeries(0.0, dt, v), nu).values for c, nu in rhs)
+    scale = (np.max(np.abs(sigma)) * (1.0 + 2.0 * sum(abs(c) * dt**-nu for c, nu in lhs))
+             + np.max(np.abs(right)))
+    assert np.max(np.abs(left - right)) <= 1e-14 * scale
 
 
 # -------------------------------------------------------- hereditary kernel

@@ -7,6 +7,7 @@ checked against a power series summed in mpmath at run time.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -222,6 +223,15 @@ def test_ml_truncated_extended_series_declines(monkeypatch):
     monkeypatch.setattr(special, "_MPF_TERMS", 3000)
     with pytest.raises(ConvergenceError):
         ml(1e-12, 1.0, 1.0 - 1e-9)
+
+
+def test_ml_tiny_alpha_next_to_one_declines_at_once():
+    # the geometric term count, about 7e10, is known before any term is
+    # summed; the full 200,000-term budget took seconds to run out
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="needs over 200000 terms"):
+        ml(1e-12, 1.0, 1.0 - 1e-9)
+    assert time.perf_counter() - start < 1.0
 
 
 def contour_band(n, seed=4):
