@@ -25,7 +25,7 @@ from typing import List, Union
 import numpy as np
 
 from .errors import FormatError, FrheoError
-from .fracops import SignalSeries
+from .fracops import SignalSeries, _grid_break
 from .models import (ClassicalKelvin, ClassicalMaxwell, FracKelvinVoigt,
                      FracMaxwell, FracZener, PoyntingThomson, SpringPot,
                      ThreeParamMaxwell, complex_modulus, creep_compliance,
@@ -68,15 +68,14 @@ def _flag(field: str) -> str:
     return "--lambda" if field == "lam" else f"--{field}"
 
 
-def _bulk_signal(p: Path):
-    """The signal of a plain t,value file, parsed in bulk, or None.
+def _bulk_signal(data: bytes):
+    """The signal of a plain t,value file's bytes, parsed in bulk, or None.
 
     Plain means UTF-8 without quotes or carriage returns, the header on
     the first line, every needed cell a number and a uniform grid; the
     values are then those of the row scan in ingest_csv. Anything else
     returns None, and the row scan names the offending line.
     """
-    data = p.read_bytes()
     end = data.find(b"\n")
     if (end < 0 or b'"' in data or b"\r" in data
             or data.count(b"\n", end) == len(data) - end):  # no rows
@@ -94,29 +93,29 @@ def _bulk_signal(p: Path):
                           encoding="utf-8")
     except ValueError:  # UnicodeDecodeError included
         return None
-    if t.size < 2:
+    if t.size < 2 or _grid_break(t) is not None:
         return None
-    dt = t[1] - t[0]
-    # the row scan's comparisons, so that NaN passes here as it does there
-    if dt <= 0.0 or np.any(np.abs(np.diff(t) - dt) > 1e-9 * abs(dt)):
-        return None
-    return SignalSeries(t[0], dt, v)
+    return SignalSeries(t[0], t[1] - t[0], v)
 
 
 def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
-    """Load a creep-record file (t,stress,strain) or a signal file
-    (t,value). Columns are matched by name, case-insensitively, in any
-    order; signal grids must be uniform to 1e-9 relative.
-    """
+    """Load a UTF-8 creep-record (t,stress,strain) or signal (t,value) file,
+    columns matched by name in any order and case. A signal's times must be
+    finite, increasing and uniform: dt = t1 - t0 > 0, every step within
+    1e-9 * dt of dt."""
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"input file not found: {path}")
-    series = _bulk_signal(p)
+    data = p.read_bytes()
+    series = _bulk_signal(data)
     if series is not None:
         return series
-    with open(p, newline="", encoding="utf-8-sig") as fh:
-        raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
-               if row and any(cell.strip() for cell in row)]
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    raw = [(i + 1, row) for i, row in enumerate(csv.reader(io.StringIO(text, newline="")))
+           if row and any(cell.strip() for cell in row)]
     if not raw:
         raise FormatError(f"{path}: no header row")
     header = [c.strip().lower() for c in raw[0][1]]
@@ -148,20 +147,18 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
             records.append(CreepRecord(**vals))
         return records
     if "t" in col and "value" in col:
-        t = np.array([cell(line, row, "t") for line, row in body])
-        v = np.array([cell(line, row, "value") for line, row in body])
-        if t.size < 2:
+        t = [cell(line, row, "t") for line, row in body]
+        v = [cell(line, row, "value") for line, row in body]
+        if len(t) < 2:
             raise FormatError(f"{path}: a signal needs at least 2 rows")
-        dt = t[1] - t[0]
-        if dt <= 0.0:
+        dt, i = t[1] - t[0], _grid_break(t)
+        if i == 1 and dt <= 0.0:
             raise FormatError(f"{path} line {body[1][0]}: times must increase")
-        for i in range(1, t.size):
-            step = t[i] - t[i - 1]
-            if abs(step - dt) > 1e-9 * abs(dt):
-                raise FormatError(
-                    f"{path} line {body[i][0]}: grid step {step:.12g} "
-                    f"breaks uniform spacing {dt:.12g}")
-        return SignalSeries(t[0], dt, v)
+        if i is not None and i > 1:
+            raise FormatError(
+                f"{path} line {body[i][0]}: grid step {t[i] - t[i - 1]:.12g} "
+                f"breaks uniform spacing {dt:.12g}")
+        return SignalSeries(t[0], dt, v)  # E_GRID for a NaN or infinite dt
     raise FormatError(
         f"{path}: header must contain t,stress,strain or t,value "
         f"(got {','.join(header)})")

@@ -4,6 +4,8 @@ Each exception carries a short machine-greppable ``code`` so the CLI can
 surface failures as one-line diagnostics without string matching.
 """
 
+import math
+
 
 class FrheoError(Exception):
     """Base class for all package errors."""
@@ -69,3 +71,8 @@ class FormatError(FrheoError):
     """Malformed input file."""
 
     code = "E_FORMAT"
+
+
+def _positive(value, name: str) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be a positive real, got {value}")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, _positive
 from .special import gamma
 
 _DIRECT = 1024  # leading kernel samples that _causal_convolve sums directly
@@ -78,6 +78,17 @@ class SignalSeries:
                 f"n={self.values.size})")
 
 
+def _grid_break(t) -> Optional[int]:
+    """Index of the first sample of t (2 or more) that breaks a finite,
+    increasing, uniform grid, or None: dt = t[1] - t[0] must be finite and
+    positive and every step within 1e-9 * dt of dt; NaN and inf break it."""
+    with np.errstate(all="ignore"):
+        steps = np.diff(np.asarray(t, dtype=float))
+        # steps > 0 refuses dt <= 0; a NaN or infinite step, dt's too, fails the comparison
+        off = ~((steps > 0.0) & (np.abs(steps - steps[0]) <= 1e-9 * steps[0]))
+    return int(np.argmax(off)) + 1 if off.any() else None
+
+
 def frac_deriv_power(nu: OrderLike, k: float, t: float) -> float:
     """Riemann-Liouville derivative of t**k, analytically.
 
@@ -85,8 +96,7 @@ def frac_deriv_power(nu: OrderLike, k: float, t: float) -> float:
     t > 0, k > -1 and k - nu > -1 so both gamma arguments stay positive.
     """
     n = _order(nu)
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time must be positive and finite, got {t}")
+    _positive(t, "time")
     if not (k > -1.0):
         raise DomainError(f"exponent must exceed -1, got {k}")
     if not (k - n > -1.0):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _positive
 
 
 def _parabola(n: int):
@@ -74,8 +74,7 @@ def invert(transform, t: float, tol: float = 1e-8) -> float:
     its imaginary residue is below tol*|value|. Raises ConvergenceError
     otherwise: a declined point, never a silently wrong one.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"inversion time must be positive, got {t}")
+    _positive(t, "inversion time")
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
     return _bromwich(

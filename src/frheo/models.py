@@ -17,18 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, DomainError, GridError, QuadratureError, StabilityError
-from .fracops import SignalSeries, _causal_convolve, _order, gl_derivative, gl_weights
+from .errors import (BranchError, DomainError, GridError, QuadratureError, StabilityError,
+                     _positive)
+from .fracops import (SignalSeries, _causal_convolve, _grid_break, _order, gl_derivative,
+                      gl_weights)
 from .laplace import _bromwich
 from .special import MLParams, RabotnovParams, _rgamma, gamma, ml_eval
 
 _INVERT_TOL = 1e-8  # certification level for runtime transform inversion
 _BLOCK = 128  # base block of the Toeplitz solve behind simulate_stress
-
-
-def _positive(value, name: str) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a positive real, got {value}")
 
 
 def _non_negative(value, name: str) -> None:
@@ -356,7 +353,7 @@ def _time_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _ml_grid(alpha: float, beta: float, args: np.ndarray) -> np.ndarray:
+def _ml_grid(alpha: float, beta: float, args) -> np.ndarray:
     p = MLParams(alpha, beta)
     return np.array([ml_eval(p, float(z)) for z in args])
 
@@ -490,13 +487,9 @@ def rabotnov_stress(p: RabotnovParams, E: float, strain: SignalSeries) -> Signal
         return SignalSeries(0.0, strain.dt, E * vals)
     n = len(strain)
     ap1 = p.alpha + 1.0
-    mlp = MLParams(ap1, 1.0)
-    # running kernel integral over [0, k*dt]
-    cum = np.empty(n)
-    cum[0] = 0.0
-    for k in range(1, n):
-        cum[k] = 1.0 - ml_eval(mlp, -p.beta * (k * strain.dt)**ap1)
-    step = np.diff(cum)
+    # running kernel integral over [0, k*dt]; Python's pow (numpy's rounds differently)
+    args = [-p.beta * (k * strain.dt)**ap1 for k in range(1, n)]
+    step = np.diff(np.concatenate(([0.0], 1.0 - _ml_grid(ap1, 1.0, args))))
     avg = 0.5 * (vals[:-1] + vals[1:])
     memory = _causal_convolve(step, avg)
     sigma = np.empty(n)
@@ -508,8 +501,9 @@ def rabotnov_stress(p: RabotnovParams, E: float, strain: SignalSeries) -> Signal
 def nutting_strain(psi: float, S: float, alpha, beta_exp: float, t_grid) -> SignalSeries:
     """Creep strain of the power-law material law: S**beta * t**alpha / psi.
 
-    The grid must be uniform (the result is a sampled signal); t = 0 is
-    allowed and contributes strain 0 for positive alpha.
+    The grid must be finite, increasing and uniform (the result is a
+    sampled signal): dt = t1 - t0 > 0, every step within 1e-9 * dt of dt.
+    t = 0 is allowed and contributes strain 0 for positive alpha.
     """
     _positive(psi, "psi")
     _positive(S, "S")
@@ -522,10 +516,9 @@ def nutting_strain(psi: float, S: float, alpha, beta_exp: float, t_grid) -> Sign
         raise GridError("grid must be finite")
     if np.any(t < 0.0):
         raise DomainError("negative times are outside the law's domain")
-    dt = t[1] - t[0]
-    if dt <= 0.0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(dt, abs(t[-1])):
+    if _grid_break(t) is not None:
         raise GridError("grid must be uniformly spaced and increasing")
-    return SignalSeries(t[0], dt, S**beta_exp / psi * t**a)
+    return SignalSeries(t[0], t[1] - t[0], S**beta_exp / psi * t**a)
 
 
 def relaxation_time_of_stress(psi: float, S: float, alpha, beta_exp: float,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DivisionError, DomainError
-from .fracops import OrderLike, SignalSeries, gl_derivative
+from .errors import DegenerateDataError, DivisionError, DomainError, _positive
+from .fracops import OrderLike, SignalSeries, _grid_break, gl_derivative
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,7 @@ class CreepRecord:
 
     def __post_init__(self):
         for name in ("t", "stress", "strain"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(
-                    f"creep record field {name} must be positive, got {v}")
+            _positive(getattr(self, name), f"creep record field {name}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,7 @@ def quasi_property(S: float, strain: SignalSeries, mu: OrderLike) -> SignalSerie
     derivative is taken on the full record first, so the memory lower
     terminal stays at the record start.
     """
-    if not (isinstance(S, (int, float)) and math.isfinite(S) and S > 0):
-        raise DomainError(f"stress must be positive, got {S}")
+    _positive(S, "stress")
     deriv = gl_derivative(strain, mu).values
     vals = strain.values
     positive = vals > 0.0
@@ -141,13 +137,11 @@ def nutting_general_series(S: float, beta_exp: float, alpha_prime: float,
 
     A single coefficient reduces to the plain creep law with
     psi = 1/c0. Times must be strictly positive since the trailing
-    exponents are negative.
+    exponents are negative, and finite, increasing and uniform:
+    dt = t1 - t0 > 0, every step within 1e-9 * dt of dt.
     """
-    if not (isinstance(S, (int, float)) and math.isfinite(S) and S > 0):
-        raise DomainError(f"stress must be positive, got {S}")
-    if not (isinstance(beta_exp, (int, float)) and math.isfinite(beta_exp)
-            and beta_exp > 0):
-        raise DomainError(f"stress exponent must be positive, got {beta_exp}")
+    _positive(S, "stress")
+    _positive(beta_exp, "stress exponent")
     if not (isinstance(alpha_prime, (int, float)) and math.isfinite(alpha_prime)):
         raise DomainError("leading exponent must be finite")
     c = np.asarray(coeffs, dtype=float)
@@ -158,11 +152,10 @@ def nutting_general_series(S: float, beta_exp: float, alpha_prime: float,
         raise DomainError("need a finite grid with at least 2 samples")
     if np.any(t <= 0.0):
         raise DomainError("times must be strictly positive")
-    dt = t[1] - t[0]
-    if dt <= 0.0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(dt, abs(t[-1])):
+    if _grid_break(t) is not None:
         raise DomainError("grid must be uniformly spaced and increasing")
     vals = np.zeros_like(t)
     for i, ck in enumerate(c):
         if ck != 0.0:
             vals += ck * t**(alpha_prime - i)
-    return SignalSeries(t[0], dt, S**beta_exp * vals)
+    return SignalSeries(t[0], t[1] - t[0], S**beta_exp * vals)

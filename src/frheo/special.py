@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, _positive
 from .laplace import _COARSE, _FINE, _NODE_LOG, _SPLIT, _WEIGHTS
 
 _EPS = 2.220446049250313e-16
@@ -358,8 +358,7 @@ def rabotnov_kernel(p: RabotnovParams, x: float) -> float:
     Equals x**alpha * E_{alpha+1, alpha+1}(beta * x**(alpha+1)); the
     alpha = 0 endpoint collapses to exp(beta*x).
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
-        raise DomainError(f"kernel argument must be positive, got {x}")
+    _positive(x, "kernel argument")
     if p.alpha == 0.0:
         return math.exp(p.beta * x)
     ap1 = p.alpha + 1.0

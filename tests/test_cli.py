@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 from frheo import cli, models
 from frheo.cli import ingest_csv, run
-from frheo.errors import FrheoError
+from frheo.errors import DomainError, FrheoError
 from frheo.fracops import SignalSeries
-from frheo.nutting import CreepRecord
+from frheo.nutting import CreepRecord, nutting_general_series
 from frheo.special import gamma
 
 
@@ -167,6 +168,61 @@ def test_ingest_rejects_malformed_files(tmp_path):
         ingest_csv(missing_cell)
 
 
+@pytest.mark.parametrize("command", [["quasi", "--stress", "1", "--mu", "0.5"],
+                                     ["fit", "nutting"]], ids=["quasi", "fit"])
+@pytest.mark.parametrize("data", [b"t,value\n0,0\n1,\xff\n2,2\n",
+                                  b"t,stress,strain\n1,1,0.5\n2,1,0.7\n3,1,0.9\xe9\n",
+                                  "t,value\n0,0\n1,1\n2,2\n".encode("utf-16")],
+                         ids=["xff", "xe9", "utf16"])
+def test_non_utf8_input_is_one_format_line(tmp_path, capsys, command, data):
+    path = tmp_path / "enc.csv"
+    path.write_bytes(data)
+    assert run(command + ["--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("E_FORMAT") and "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
+# (times, accepted): one verdict from every entry point that takes a grid
+GRID_VERDICTS = {
+    "uniform": ([1.0, 1.25, 1.5, 1.75, 2.0], True),
+    "jitter 1e-12 dt": ([1.0, 1.25, 1.5, 1.75 + 0.25e-12, 2.0], True),
+    "jitter 1e-7 near 1e3": ([1000.0, 1001.0, 1002.0 + 1e-7, 1003.0], False),
+    "nan in the middle": ([1.0, 2.0, math.nan, 4.0, 5.0], False),
+    "inf at the end": ([1.0, 2.0, 3.0, math.inf], False),
+    "infinite step": ([1.0, math.inf, math.inf], False),
+    "decreasing": ([4.0, 3.0, 2.0, 1.0], False),
+    "negative and decreasing": ([-1.0, -2.0, -3.0], False),
+}
+
+
+def _accepts(entry):
+    try:
+        entry()
+    except FrheoError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", GRID_VERDICTS)
+def test_every_entry_point_gives_one_grid_verdict(tmp_path, name):
+    t, accepted = GRID_VERDICTS[name]
+    path = write(tmp_path / "grid.csv",
+                 "t,value\n" + "".join(f"{tk!r},{k}\n" for k, tk in enumerate(t)))
+    entries = {"ingest_csv": lambda: ingest_csv(path),
+               "nutting_strain": lambda: models.nutting_strain(1.0, 1.0, 0.5, 1.0, t),
+               "nutting_general_series":
+                   lambda: nutting_general_series(1.0, 1.0, 0.5, [1.0], t)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = {k: _accepts(entry) for k, entry in entries.items()}
+    assert verdicts == dict.fromkeys(entries, accepted)
+    if name == "negative and decreasing":  # negative times are out of the laws' domain
+        for k in ("nutting_strain", "nutting_general_series"):
+            with pytest.raises(DomainError):
+                entries[k]()
+
+
 def ingest_outcome(path):
     """What ingest_csv makes of a file: the parsed data, down to the bits,
     or the class and text of the frheo error it raises."""
@@ -186,7 +242,7 @@ def row_scan_outcome(path):
 
 def test_ingest_plain_signal_takes_the_bulk_path(tmp_path):
     path = ramp_csv(tmp_path, dt=0.001)
-    series = cli._bulk_signal(Path(path))
+    series = cli._bulk_signal(Path(path).read_bytes())
     assert series is not None and len(series) == 1001
     assert ingest_outcome(path) == row_scan_outcome(path)
 
@@ -286,6 +342,35 @@ def test_simulate_end_to_end(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1].split(",")
     assert float(last[0]) == pytest.approx(1.0, rel=1e-12)
     assert float(last[1]) == pytest.approx(1.0 / gamma(1.5), rel=2e-2)
+
+
+def _json_matches_csv(argv, capsys, command):
+    assert run(argv) == 0
+    rows = [[float(c) for c in line.split(",")]
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert run(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"command", "params", "result", "diagnostics"}
+    assert doc["command"] == command and doc["diagnostics"] == {}
+    assert set(doc["result"]) == {"t", "value"}
+    assert [list(r) for r in zip(doc["result"]["t"], doc["result"]["value"])] == rows
+    return doc
+
+
+def test_simulate_json_matches_csv(tmp_path, capsys):
+    path = ramp_csv(tmp_path, dt=0.1)
+    doc = _json_matches_csv(["simulate", "--model", "fzener", "--a1", "1", "--b0", "0.5",
+                             "--b1", "2", "--alpha", "0.5", "--input", path],
+                            capsys, "simulate")
+    assert doc["params"] == {"model": "fzener", "a1": 1.0, "b0": 0.5, "b1": 2.0,
+                             "alpha": 0.5, "input": path}
+
+
+def test_quasi_json_matches_csv(tmp_path, capsys):
+    path = ramp_csv(tmp_path, dt=0.1)
+    doc = _json_matches_csv(["quasi", "--input", path, "--stress", "3", "--mu", "0.4"],
+                            capsys, "quasi")
+    assert doc["params"] == {"stress": 3.0, "mu": 0.4, "input": path}
 
 
 def test_fit_json_end_to_end(tmp_path, capsys):
