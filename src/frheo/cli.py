@@ -141,9 +141,9 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
         for line, row in body:
             vals = {n: cell(line, row, n) for n in ("t", "stress", "strain")}
             for n, v in vals.items():
-                if not v > 0.0:
+                if not 0.0 < v < np.inf:
                     raise FormatError(
-                        f"{path} line {line}: {n} must be positive, got {v:g}")
+                        f"{path} line {line}: {n} must be a positive real, got {v:g}")
             records.append(CreepRecord(**vals))
         return records
     if "t" in col and "value" in col:
@@ -151,14 +151,18 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
         v = [cell(line, row, "value") for line, row in body]
         if len(t) < 2:
             raise FormatError(f"{path}: a signal needs at least 2 rows")
+        for k in (0, 1):  # the first step needs two finite times
+            if not np.isfinite(t[k]):
+                raise FormatError(f"{path} line {body[k][0]}: time must be finite, got {t[k]:g}")
         dt, i = t[1] - t[0], _grid_break(t)
-        if i == 1 and dt <= 0.0:
-            raise FormatError(f"{path} line {body[1][0]}: times must increase")
-        if i is not None and i > 1:
+        if i == 1:
+            why = "times must increase" if dt <= 0.0 else f"grid step {dt:g} is not finite"
+            raise FormatError(f"{path} line {body[1][0]}: {why}")
+        if i is not None:
             raise FormatError(
                 f"{path} line {body[i][0]}: grid step {t[i] - t[i - 1]:.12g} "
                 f"breaks uniform spacing {dt:.12g}")
-        return SignalSeries(t[0], dt, v)  # E_GRID for a NaN or infinite dt
+        return SignalSeries(t[0], dt, v)
     raise FormatError(
         f"{path}: header must contain t,stress,strain or t,value "
         f"(got {','.join(header)})")

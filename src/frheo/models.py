@@ -22,7 +22,7 @@ from .errors import (BranchError, DomainError, GridError, QuadratureError, Stabi
 from .fracops import (SignalSeries, _causal_convolve, _grid_break, _order, gl_derivative,
                       gl_weights)
 from .laplace import _bromwich
-from .special import MLParams, RabotnovParams, _rgamma, gamma, ml_eval
+from .special import RabotnovParams, _ml_grid, _rgamma, gamma
 
 _INVERT_TOL = 1e-8  # certification level for runtime transform inversion
 _BLOCK = 128  # base block of the Toeplitz solve behind simulate_stress
@@ -351,11 +351,6 @@ def _time_grid(t_grid) -> np.ndarray:
     if np.any(np.diff(t) <= 0.0):
         raise DomainError("time grid must be strictly increasing")
     return t
-
-
-def _ml_grid(alpha: float, beta: float, args) -> np.ndarray:
-    p = MLParams(alpha, beta)
-    return np.array([ml_eval(p, float(z)) for z in args])
 
 
 def _invert_grid(transform, t: np.ndarray) -> np.ndarray:

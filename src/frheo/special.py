@@ -8,7 +8,9 @@ Bromwich integral on frheo.laplace's parabola node table, and last an
 extended-precision series in mpmath. It accepts a route only when its
 internally estimated relative error clears the accuracy target: 1e-10
 for |z| <= 50, 1e-6 beyond, with an order of magnitude of headroom
-where affordable.
+where affordable. A grid of arguments takes one vectorised pass of the
+contour route first and sends only the points it cannot certify through
+that chain.
 """
 
 from __future__ import annotations
@@ -209,43 +211,61 @@ def _alg_asym(a: float, b: float, z: float):
     return s, (env + _saddle_size(a, b, x)) / max(abs(s), 1e-300)
 
 
-def _ml_contour(a: float, b: float, z: float):
-    """E_{a,b}(z) for z < 0 and 0 < a < 2 from the Bromwich integral of
-    s^(a-b)/(s^a - z) at t = 1 on the coarse and the fine parabola.
+_TIGHT = np.array((1e-9, 3e-12))  # indexed by |z| <= 50
 
-    Returns (fine value, error estimate): the relative drift between the
-    two rules plus 4 eps times the sum of the fine rule's node terms.
-    For a > 1 the poles s^a = z lie at s* = |z|^(1/a) e^(+-i pi/a); a
-    pair right of a parabola is outside its integral and adds its
-    residue, and the estimate adds the error a pole near the contour
-    leaves in the trapezoid sum.
+
+def _tight(z):
+    """Error level a route's estimate must clear at z, elementwise:
+    3e-12 for |z| <= 50, 1e-9 beyond. A lookup, not np.where, so that a
+    scalar z costs next to nothing."""
+    return _TIGHT[(abs(z) <= 50.0) * 1]
+
+
+_BLOCK = 256  # z values per contour pass: a (256 x 98) complex array, 0.4 MB
+
+
+def _ml_contour(a: float, b: float, z):
+    """E_{a,b} at an array of z < 0 for 0 < a < 2 from the Bromwich
+    integral of s^(a-b)/(s^a - z) at t = 1 on the coarse and the fine
+    parabola. The node powers s^-b and s^-a are formed once for the
+    whole array, which is then summed in blocks of _BLOCK values.
+
+    Returns arrays of fine values and error estimates: the relative
+    drift between the two rules plus 4 eps times the sum of the fine
+    rule's node terms. For a > 1 the poles s^a = z lie at
+    s* = |z|^(1/a) e^(+-i pi/a); a pair right of a parabola is outside
+    its integral and adds its residue, and the estimate adds the error a
+    pole near the contour leaves in the trapezoid sum.
     """
+    z = np.asarray(z, dtype=float).reshape(-1)
+    coarse, fine, err = np.empty((3, z.size))
     with np.errstate(all="ignore"):
         x = np.exp(np.multiply.outer((-b, -a), _NODE_LOG))
-        g = _WEIGHTS * x[0] / (1.0 - z * x[1])
-        coarse, fine = (float(v) for v in np.add.reduceat(g.real, (0, _SPLIT)))
-        err = 4.0 * _EPS * float(np.abs(g[_SPLIT:]).sum())
-    if a > 1.0:
-        pole = math.exp(math.log(-z) / a) * cmath.exp(1j * math.pi / a)
-        try:
-            res = 2.0 / a * cmath.exp((1.0 - b) * cmath.log(pole) + pole)
-        except OverflowError:  # the residue alone leaves double range
-            return math.nan, math.inf
-        (mu_coarse, _, _, _), (mu_fine, h_fine, _, _) = _COARSE, _FINE
-        # the pole's image u* on a parabola: Re sqrt(s*/mu) > 1 puts it
-        # right of the contour, and |Re sqrt(s*/mu) - 1| = |Im u*|
-        w_coarse = cmath.sqrt(pole / mu_coarse).real
-        w_fine = cmath.sqrt(pole / mu_fine).real
-        coarse += res.real if w_coarse > 1.0 else 0.0
-        fine += res.real if w_fine > 1.0 else 0.0
-        # a pole at distance d from the real u axis costs the trapezoid
-        # sum about |res| q/(1 - q), q = exp(-2 pi d / h); the residue's
-        # exponent carries a rounding error of about |s*| eps
-        q = math.exp(-2.0 * math.pi * abs(w_fine - 1.0) / h_fine)
-        err += abs(res) * (4.0 * _EPS * abs(pole) + (q / (1.0 - q) if q < 1.0 else math.inf))
-    if fine == 0.0:
-        return fine, math.inf
-    return fine, (abs(fine - coarse) + err) / abs(fine)
+        numer = _WEIGHTS * x[0]
+        for i in range(0, z.size, _BLOCK):
+            g = numer / (1.0 - z[i:i + _BLOCK, None] * x[1])
+            coarse[i:i + _BLOCK], fine[i:i + _BLOCK] = np.add.reduceat(
+                g.real, (0, _SPLIT), axis=1).T
+            err[i:i + _BLOCK] = 4.0 * _EPS * np.abs(g[:, _SPLIT:]).sum(axis=1)
+        if a > 1.0:
+            pole = np.exp(np.log(-z) / a) * cmath.exp(1j * math.pi / a)
+            res = 2.0 / a * np.exp((1.0 - b) * np.log(pole) + pole)
+            (mu_coarse, _, _, _), (mu_fine, h_fine, _, _) = _COARSE, _FINE
+            # the pole's image u* on a parabola: Re sqrt(s*/mu) > 1 puts it
+            # right of the contour, and |Re sqrt(s*/mu) - 1| = |Im u*|
+            w_coarse = np.sqrt(pole / mu_coarse).real
+            w_fine = np.sqrt(pole / mu_fine).real
+            coarse += np.where(w_coarse > 1.0, res.real, 0.0)
+            fine += np.where(w_fine > 1.0, res.real, 0.0)
+            # a pole at distance d from the real u axis costs the trapezoid
+            # sum about |res| q/(1 - q), q = exp(-2 pi d / h); the residue's
+            # exponent carries a rounding error of about |s*| eps
+            q = np.exp(-2.0 * math.pi * np.abs(w_fine - 1.0) / h_fine)
+            # a residue out of double range leaves an infinite or NaN
+            # estimate, which certifies nothing
+            err += np.abs(res) * (4.0 * _EPS * np.abs(pole)
+                                  + np.where(q < 1.0, q / (1.0 - q), math.inf))
+        return fine, np.where(fine == 0.0, math.inf, (np.abs(fine - coarse) + err) / np.abs(fine))
 
 
 def _series_mpf(a: float, b: float, z: float) -> float:
@@ -323,12 +343,16 @@ def _ml_route(a: float, b: float, z: float) -> float:
         lu = math.log(z) / a
         if lu > 700.0 or math.exp(lu) + (1.0 - b) * lu - math.log(a) > 709.0:
             raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
-    tight = 3e-12 if abs(z) <= 50.0 else 1e-9
-    routes = (_taylor, _alg_asym, _ml_contour) if z < 0.0 and a < 2.0 else (_taylor,)
-    for route in routes:
+    tight = float(_tight(z))
+    contour = z < 0.0 and a < 2.0
+    for route in (_taylor, _alg_asym) if contour else (_taylor,):
         r = route(a, b, z)
         if r is not None and r[1] <= tight:
             return r[0]
+    if contour:
+        (v,), (e,) = _ml_contour(a, b, [z])
+        if e <= tight:
+            return float(v)
     return _series_mpf(a, b, z)
 
 
@@ -350,6 +374,31 @@ def ml_eval(p: MLParams, z: float) -> float:
     if not math.isfinite(v):
         raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
     return v
+
+
+def _ml_grid(alpha: float, beta: float, args) -> np.ndarray:
+    """E_{alpha,beta} at every z of a 1-D grid, each value within
+    ml_eval's contract.
+
+    For alpha < 2 the finite z < 0 go through one contour pass, and a
+    point is kept when its value is finite and its estimate clears the
+    tight level. Every other point, and every one the pass refuses, goes
+    through ml_eval unchanged, errors included; so does the whole grid
+    for (1, 1), which keeps its exact exp.
+    """
+    p = MLParams(alpha, beta)
+    z = np.array(args, dtype=float)
+    out = np.empty(z.shape)
+    done = np.zeros(z.shape, dtype=bool)
+    if alpha < 2.0 and (alpha, beta) != (1.0, 1.0):
+        idx = np.flatnonzero((z < 0.0) & np.isfinite(z))
+        value, est = _ml_contour(alpha, beta, z[idx])
+        keep = np.isfinite(value) & (est <= _tight(z[idx]))
+        out[idx[keep]] = value[keep]
+        done[idx[keep]] = True
+    for i in np.flatnonzero(~done):
+        out[i] = ml_eval(p, float(z[i]))
+    return out
 
 
 def rabotnov_kernel(p: RabotnovParams, x: float) -> float:

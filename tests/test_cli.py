@@ -150,6 +150,21 @@ def test_ingest_diagnostics_name_the_line(tmp_path):
         ingest_csv(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("t,stress,strain\n1,inf,0.5\n2,1,0.7\n", 2),
+    ("t,stress,strain\n1,1,0.5\n2,1,nan\n", 3),
+    ("t,value\nnan,0\n1,1\n", 2),
+    ("t,value\n0,0\ninf,0\ninf,1\n", 3),
+    ("t,value\n-1e308,0\n1e308,1\n", 3),  # a first step that overflows
+], ids=["inf stress", "nan strain", "nan first time", "inf second time", "inf first step"])
+def test_non_finite_cells_name_the_line(tmp_path, capsys, text, line):
+    path = write(tmp_path / "bad.csv", text)
+    assert run(["quasi", "--stress", "1", "--mu", "0.5", "--input", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"E_FORMAT: {path} line {line}: ")
+    assert err.count("\n") == 1
+
+
 def test_ingest_rejects_malformed_files(tmp_path):
     with pytest.raises(Exception, match="not found"):
         ingest_csv(tmp_path / "missing.csv")

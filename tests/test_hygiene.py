@@ -103,3 +103,12 @@ def test_one_convolution_path(module):
              and (_dotted(n).split(".")[:2] in (["np", "fft"], ["numpy", "fft"])
                   or _dotted(n) in ("np.convolve", "numpy.convolve"))]
     assert not found, f"{module} convolves outside _causal_convolve: {', '.join(found)}"
+
+
+def test_one_mittag_leffler_node_sum():
+    # the scalar route and the grid evaluator share one contour sum: the
+    # node logarithms are read inside special._ml_contour and nowhere else
+    readers = [f"{module}:{f.name}" for module, tree in TREES.items()
+               for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and any(isinstance(n, ast.Name) and n.id == "_NODE_LOG" for n in ast.walk(f))]
+    assert readers == ["special.py:_ml_contour"]

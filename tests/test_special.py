@@ -294,6 +294,118 @@ def test_hereditary_kernels_need_no_mpmath(monkeypatch):
         assert np.all(np.diff(sigma) < 0.0)  # a step response relaxes monotonically
 
 
+def test_hereditary_kernels_make_no_scalar_fallback(monkeypatch):
+    # every point of the hereditary sweeps is certified by the grid's
+    # contour pass, so none of them runs the scalar route chain
+    def refuse(p, z):
+        raise AssertionError(f"E_({p.alpha},{p.beta})({z}) fell back to ml_eval")
+
+    monkeypatch.setattr(special, "ml_eval", refuse)
+    for alpha, beta, horizon, n in HEREDITARY_KERNELS:
+        step = SignalSeries(0.0, horizon / (n - 1), np.ones(n))
+        assert np.all(np.isfinite(rabotnov_stress(RabotnovParams(alpha, beta), 1.0, step).values))
+
+
+def ml_reference_mp(a, b, z):
+    """E_{a,b}(z), z < 0: the Hankel integral for b = 1 and a < 1, which
+    reaches any |z|; the mpmath series otherwise."""
+    return ml_hankel_mp(a, z) if b == 1.0 and a < 1.0 else ml_series_mp(a, b, z)
+
+
+def grid_bands(seed=11):
+    """Seeded (alpha, beta, z grid) of the bands frheo evaluates as grids:
+    rabotnov_stress's order alpha + 1 in [0.25, 0.88] with beta = 1; the
+    closed forms' alpha in (0, 1] with beta = 1, alpha + 1 and
+    alpha - beta' + 1 (beta' in [alpha, 1]); and 1 < alpha < 2 around
+    the point whose pole pair sits next to the parabola. Grids reach
+    |z| = 2000 where the Hankel integral is the reference, and
+    |z|^(1/alpha) = 100 where the series is."""
+    rng = np.random.default_rng(seed)
+
+    def grid(a, b, zmin, zmax, n=8):
+        if not (b == 1.0 and a < 1.0):
+            zmax = min(zmax, 100.0**a)
+        return a, b, -np.sort(np.exp(rng.uniform(math.log(zmin), math.log(zmax), n)))
+
+    bands = [grid(a, 1.0, 1e-3, 2000.0) for a in (0.25, rng.uniform(0.25, 0.88), 0.88)]
+    for a in (rng.uniform(0.05, 1.0), 1.0):
+        for b in (1.0, a + 1.0, a - rng.uniform(a, 1.0) + 1.0):
+            if (a, b) != (1.0, 1.0):  # exp is its own route
+                bands.append(grid(a, b, 1e-3, 2000.0))
+    a, b, z = grid(1.95, 1.0, 900.0, 1300.0)
+    bands += [(a, b, np.append(z, -1090.69)), grid(rng.uniform(1.0, 1.9), rng.uniform(0.5, 2.0),
+                                                  1e-2, 2000.0)]
+    return bands
+
+
+@pytest.mark.parametrize("a,b,z", grid_bands(), ids=lambda v: f"{v:.3g}" if
+                         isinstance(v, float) else "z")
+def test_ml_grid_against_mpmath(a, b, z):
+    got = special._ml_grid(a, b, z)
+    value, est = special._ml_contour(a, b, z)
+    tight = special._tight(z)
+    contour = np.isfinite(value) & (est <= tight)
+    for k, zk in enumerate(z):
+        ref = ml_reference_mp(a, b, float(zk))
+        contract = 1e-10 if abs(zk) <= 50.0 else 1e-6
+        assert got[k] == pytest.approx(ref, rel=contract), (a, b, zk)
+        if contour[k]:  # the estimate bounds the error it certifies
+            assert got[k] == value[k]
+            assert abs(value[k] - ref) <= est[k] * abs(ref), (a, b, zk, est[k])
+        scalar = ml(a, b, float(zk))
+        assert abs(got[k] - scalar) <= 10.0 * tight[k] * abs(scalar), (a, b, zk)
+
+
+def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
+    # points the contour pass refuses, z >= 0 and non-finite z take
+    # ml_eval unchanged: its values and its errors
+    z = -np.linspace(0.05, 1.0, 10)
+    real_contour, real_eval, calls = special._ml_contour, special.ml_eval, []
+
+    def refuse_odd(a, b, zs):
+        value, est = real_contour(a, b, zs)
+        est[1::2] = math.inf
+        return value, est
+
+    monkeypatch.setattr(special, "_ml_contour", refuse_odd)
+    monkeypatch.setattr(special, "ml_eval", lambda p, x: calls.append(x) or real_eval(p, x))
+    got = special._ml_grid(0.6, 1.0, np.append(z, [0.0, 0.5]))
+    assert calls == list(z[1::2]) + [0.0, 0.5]
+    assert list(got[1:-2:2]) + list(got[-2:]) == [ml(0.6, 1.0, x) for x in calls]
+    with pytest.raises(DomainError):
+        special._ml_grid(0.6, 1.0, [-1.0, math.nan])
+    with pytest.raises(DomainError):
+        special._ml_grid(0.6, 1.0, [-math.inf])
+    with pytest.raises(OverflowError):
+        special._ml_grid(0.5, 1.0, [-1.0, 27.0**2])
+
+
+def test_ml_grid_pass_through_values():
+    assert list(special._ml_grid(0.7, 1.3, [0.0, -0.0])) == [ml(0.7, 1.3, 0.0)] * 2
+    assert special._ml_grid(0.7, 1.3, [0.0])[0] == pytest.approx(1.0 / gamma(1.3), rel=1e-13)
+    z = np.linspace(-30.0, 30.0, 121)
+    assert list(special._ml_grid(1.0, 1.0, z)) == [math.exp(x) for x in z]
+    empty = special._ml_grid(0.5, 1.0, [])
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(a=st.floats(0.01, 1.0), x0=st.floats(0.0, 20.0), h=st.floats(1e-3, 1.5))
+def test_ml_complete_monotonicity_property(a, x0, h):
+    # E_a(-x) is completely monotone for 0 < a <= 1 (Pollard, 1948): it
+    # lies in (0, 1] and (-1)^n times its n-th forward difference on a
+    # uniform grid is non-negative. Rounding allowance: every x here is at
+    # most 48.5, where a value may be off by 1e-10 relative, so a value may
+    # exceed 1 by 1e-10 and an n-th difference may be off by 2^n * 1e-10.
+    x = x0 + h * np.arange(20)
+    for vals in (special._ml_grid(a, 1.0, -x), np.array([ml(a, 1.0, -v) for v in x])):
+        assert np.all((vals > 0.0) & (vals <= 1.0 + 1e-10))
+        diff = vals
+        for n in (1, 2, 3):
+            diff = np.diff(diff)
+            assert np.all((-1)**n * diff >= -2**n * 1e-10), (n, diff)
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(a=st.floats(0.05, 2.0, exclude_max=True), b=st.floats(0.5, 2.0),
        x=st.floats(0.1, 50.0))
