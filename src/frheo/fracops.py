@@ -134,7 +134,8 @@ def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     small early outputs of a ramp or a creep curve.
     """
     n = b.size
-    out = np.convolve(b, a[:_DIRECT])[:n]
+    end = n - int(np.argmax(b[::-1] != 0.0))  # b's trailing zeros add nothing
+    out = np.concatenate((np.convolve(b[:end], a[:_DIRECT]), np.zeros(n)))[:n]
     # b's leading zeros reach no output through the tail; skipping them
     # keeps the outputs before a step exact zeros
     start = int(np.argmax(b != 0.0))

@@ -382,9 +382,8 @@ def complex_modulus(m: MaterialModel, omega_grid) -> MaterialResponse:
 
     Storage modulus is the real part, loss modulus the imaginary part.
     """
-    w = _time_grid(omega_grid)
-    vals = np.array([transfer_function(m, 1j * float(wk)) for wk in w])
-    return MaterialResponse("complex", w, vals)
+    w = _time_grid(omega_grid)  # omega > 0 keeps s off 0 and the negative axis
+    return MaterialResponse("complex", w, _ratio(*_operator_terms(m), 1j * w))
 
 
 def _toeplitz_solve(col: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,21 +1,18 @@
 """Gamma, the two-parameter Mittag-Leffler function, and the
 fractional-exponential relaxation kernel.
 
-Everything here is real-in/real-out and pure. The Mittag-Leffler
-evaluator tries its routes in a fixed order: the power series, then on
-the negative axis the algebraic asymptotic series and a double-precision
-Bromwich integral on frheo.laplace's parabola node table, and last an
-extended-precision series in mpmath. It accepts a route only when its
+Everything here is real-in/real-out and pure. Every Mittag-Leffler
+value, at one argument or on a grid, takes one route order: for
+alpha < 2 a vectorised double-precision Bromwich integral on
+frheo.laplace's parabola node table, then the power series, on the
+negative axis the algebraic asymptotic series, and last an
+extended-precision series in mpmath. A route is accepted only when its
 internally estimated relative error clears the accuracy target: 1e-10
-for |z| <= 50, 1e-6 beyond, with an order of magnitude of headroom
-where affordable. A grid of arguments takes one vectorised pass of the
-contour route first and sends only the points it cannot certify through
-that chain.
+for |z| <= 50, 1e-6 beyond, with an order of magnitude of headroom.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -128,14 +125,14 @@ def _taylor(a: float, b: float, z: float):
     if pred is None or pred[0] > 500 or pred[1] > 690.0:
         return None
     count = pred[0]
-    if count * abs(math.log(max(abs(z), 1e-300))) > 600.0:
+    if abs(z) > 1.0 and count * math.log(abs(z)) > 600.0:
         return None  # z**k would overflow before the tail is reached
     s = 0.0
     comp = 0.0
     tabs = 0.0
     zk = 1.0
     small = 0
-    xmax = b
+    xmax = abs(b)  # largest |gamma argument|; b < 0 may stop the sum early
     term = 0.0
     k = 0
     while k <= 500:
@@ -225,15 +222,16 @@ _BLOCK = 256  # z values per contour pass: a (256 x 98) complex array, 0.4 MB
 
 
 def _ml_contour(a: float, b: float, z):
-    """E_{a,b} at an array of z < 0 for 0 < a < 2 from the Bromwich
+    """E_{a,b} at an array of z != 0 for 0 < a < 2 from the Bromwich
     integral of s^(a-b)/(s^a - z) at t = 1 on the coarse and the fine
     parabola. The node powers s^-b and s^-a are formed once for the
     whole array, which is then summed in blocks of _BLOCK values.
 
     Returns arrays of fine values and error estimates: the relative
     drift between the two rules plus 4 eps times the sum of the fine
-    rule's node terms. For a > 1 the poles s^a = z lie at
-    s* = |z|^(1/a) e^(+-i pi/a); a pair right of a parabola is outside
+    rule's node terms. The poles s^a = z on the principal sheet are the
+    real s* = z^(1/a) for z > 0 and, for z < 0 and a > 1, the pair
+    s* = |z|^(1/a) e^(+-i pi/a); a pole right of a parabola is outside
     its integral and adds its residue, and the estimate adds the error a
     pole near the contour leaves in the trapezoid sum.
     """
@@ -247,24 +245,30 @@ def _ml_contour(a: float, b: float, z):
             coarse[i:i + _BLOCK], fine[i:i + _BLOCK] = np.add.reduceat(
                 g.real, (0, _SPLIT), axis=1).T
             err[i:i + _BLOCK] = 4.0 * _EPS * np.abs(g[:, _SPLIT:]).sum(axis=1)
-        if a > 1.0:
-            pole = np.exp(np.log(-z) / a) * cmath.exp(1j * math.pi / a)
-            res = 2.0 / a * np.exp((1.0 - b) * np.log(pole) + pole)
+        live = np.flatnonzero((z > 0.0) | (a > 1.0))
+        if live.size:
+            pair = z[live] < 0.0
+            lu = np.log(np.abs(z[live])) / a  # log |s*|
+            pole = np.exp(lu) * np.exp(1j * math.pi / a * pair)
+            # s*^(1-b) e^(s*) / a, doubled for a pair: its real part is the
+            # sum of the two conjugate residues
+            res = (1.0 + pair) / a * np.exp((1.0 - b) * np.log(pole) + pole)
             (mu_coarse, _, _, _), (mu_fine, h_fine, _, _) = _COARSE, _FINE
             # the pole's image u* on a parabola: Re sqrt(s*/mu) > 1 puts it
             # right of the contour, and |Re sqrt(s*/mu) - 1| = |Im u*|
             w_coarse = np.sqrt(pole / mu_coarse).real
             w_fine = np.sqrt(pole / mu_fine).real
-            coarse += np.where(w_coarse > 1.0, res.real, 0.0)
-            fine += np.where(w_fine > 1.0, res.real, 0.0)
+            coarse[live] += np.where(w_coarse > 1.0, res.real, 0.0)
+            fine[live] += np.where(w_fine > 1.0, res.real, 0.0)
             # a pole at distance d from the real u axis costs the trapezoid
             # sum about |res| q/(1 - q), q = exp(-2 pi d / h); the residue's
-            # exponent carries a rounding error of about |s*| eps
+            # exponent s* = exp(log|z| / a) carries a rounding error of up
+            # to about (4 + 2 |log s*|) |s*| eps
             q = np.exp(-2.0 * math.pi * np.abs(w_fine - 1.0) / h_fine)
             # a residue out of double range leaves an infinite or NaN
             # estimate, which certifies nothing
-            err += np.abs(res) * (4.0 * _EPS * np.abs(pole)
-                                  + np.where(q < 1.0, q / (1.0 - q), math.inf))
+            err[live] += np.abs(res) * (_EPS * np.abs(pole) * (4.0 + 2.0 * np.abs(lu))
+                                        + np.where(q < 1.0, q / (1.0 - q), math.inf))
         return fine, np.where(fine == 0.0, math.inf, (np.abs(fine - coarse) + err) / np.abs(fine))
 
 
@@ -332,73 +336,67 @@ def _series_mpf(a: float, b: float, z: float) -> float:
     raise ConvergenceError(f"extended-precision series failed for E_({a},{b})({z})")
 
 
-def _ml_route(a: float, b: float, z: float) -> float:
-    """E_{a,b}(z) from the first route that certifies it; see ml_eval."""
-    if z == 0.0:
-        return _rgamma(b)
-    if a == 1.0 and b == 1.0:
-        return math.exp(z)  # exact route; raises OverflowError natively
-    if z > 1.0:
-        # past z = 1 the growth z**((1-b)/a) exp(z**(1/a))/a dominates
-        lu = math.log(z) / a
-        if lu > 700.0 or math.exp(lu) + (1.0 - b) * lu - math.log(a) > 709.0:
-            raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
-    tight = float(_tight(z))
-    contour = z < 0.0 and a < 2.0
-    for route in (_taylor, _alg_asym) if contour else (_taylor,):
-        r = route(a, b, z)
-        if r is not None and r[1] <= tight:
-            return r[0]
-    if contour:
-        (v,), (e,) = _ml_contour(a, b, [z])
-        if e <= tight:
-            return float(v)
-    return _series_mpf(a, b, z)
-
-
-def ml_eval(p: MLParams, z: float) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
-
-    Relative error <= 1e-10 for |z| <= 50 and <= 1e-6 elsewhere. Routes,
-    in order: the power series; for z < 0 and alpha < 2 the algebraic
-    asymptotic series, then the contour integral (each accepted only when
-    its error estimate clears the tight level); last the
-    extended-precision series. Raises
-    OverflowError when the value leaves double range, as the
-    exp(z**(1/alpha)) growth on the positive axis does.
-    """
+def _ml_point(a: float, b: float, z: float) -> float:
+    """E_{a,b}(z) where the contour route does not run or certify: the
+    power series, then for z < 0 and a < 2 the algebraic asymptotic
+    series, each if it clears the tight level; last mpmath's series."""
     if not math.isfinite(z):
         raise DomainError(f"ml argument must be finite, got {z}")
-    a, b = p.alpha, p.beta
-    v = _ml_route(a, b, z)
+    if z == 0.0:
+        v = _rgamma(b)
+    elif a == 1.0 and b == 1.0:
+        v = math.exp(z)  # exact route; raises OverflowError natively
+    else:
+        if z > 1.0:
+            # past z = 1 the growth z**((1-b)/a) exp(z**(1/a))/a dominates
+            lu = math.log(z) / a
+            if lu > 700.0 or math.exp(lu) + (1.0 - b) * lu - math.log(a) > 709.0:
+                raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
+        for route in (_taylor, _alg_asym) if z < 0.0 and a < 2.0 else (_taylor,):
+            r = route(a, b, z)
+            if r is not None and r[1] <= _tight(z):
+                v = r[0]
+                break
+        else:
+            v = _series_mpf(a, b, z)
     if not math.isfinite(v):
         raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
     return v
 
 
 def _ml_grid(alpha: float, beta: float, args) -> np.ndarray:
-    """E_{alpha,beta} at every z of a 1-D grid, each value within
-    ml_eval's contract.
+    """E_{alpha,beta} at every z of a 1-D grid, within ml_eval's contract.
 
-    For alpha < 2 the finite z < 0 go through one contour pass, and a
-    point is kept when its value is finite and its estimate clears the
-    tight level. Every other point, and every one the pass refuses, goes
-    through ml_eval unchanged, errors included; so does the whole grid
-    for (1, 1), which keeps its exact exp.
+    Unless alpha >= 2 or (alpha, beta) = (1, 1), which keeps its exact
+    exp, every finite z != 0 goes through one contour pass, which keeps
+    a value that clears the tight level and lies below 1e307, short of
+    _ml_point's overflow guard. _ml_point takes the rest in grid order.
     """
-    p = MLParams(alpha, beta)
+    MLParams(alpha, beta)
     z = np.array(args, dtype=float)
-    out = np.empty(z.shape)
-    done = np.zeros(z.shape, dtype=bool)
+    out = np.full(z.shape, math.nan)
     if alpha < 2.0 and (alpha, beta) != (1.0, 1.0):
-        idx = np.flatnonzero((z < 0.0) & np.isfinite(z))
+        idx = np.flatnonzero(np.isfinite(z) & (z != 0.0))
         value, est = _ml_contour(alpha, beta, z[idx])
-        keep = np.isfinite(value) & (est <= _tight(z[idx]))
+        keep = (np.abs(value) < 1e307) & (est <= _tight(z[idx]))
         out[idx[keep]] = value[keep]
-        done[idx[keep]] = True
-    for i in np.flatnonzero(~done):
-        out[i] = ml_eval(p, float(z[i]))
+    for i in np.flatnonzero(np.isnan(out)):
+        out[i] = _ml_point(alpha, beta, float(z[i]))
     return out
+
+
+def ml_eval(p: MLParams, z: float) -> float:
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
+
+    Relative error <= 1e-10 for |z| <= 50 and <= 1e-6 elsewhere. A
+    one-point grid, so equal bit for bit to any grid's value at z; its
+    routes, in order: for alpha < 2 the contour integral, the power
+    series, for z < 0 and alpha < 2 the algebraic asymptotic series, and
+    the extended-precision series. Raises DomainError for a non-finite
+    z and OverflowError when the value leaves double range, as the
+    exp(z**(1/alpha)) growth on the positive axis does.
+    """
+    return float(_ml_grid(p.alpha, p.beta, [z])[0])
 
 
 def rabotnov_kernel(p: RabotnovParams, x: float) -> float:

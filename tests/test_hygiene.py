@@ -105,10 +105,23 @@ def test_one_convolution_path(module):
     assert not found, f"{module} convolves outside _causal_convolve: {', '.join(found)}"
 
 
+def _readers(name: str) -> list:
+    """module:function of every function in the package that reads name."""
+    return [f"{module}:{f.name}" for module, tree in TREES.items()
+            for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(f))]
+
+
 def test_one_mittag_leffler_node_sum():
-    # the scalar route and the grid evaluator share one contour sum: the
-    # node logarithms are read inside special._ml_contour and nowhere else
-    readers = [f"{module}:{f.name}" for module, tree in TREES.items()
-               for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-               and any(isinstance(n, ast.Name) and n.id == "_NODE_LOG" for n in ast.walk(f))]
-    assert readers == ["special.py:_ml_contour"]
+    # the grid evaluator and every caller share one contour sum: the node
+    # logarithms are read inside special._ml_contour and nowhere else
+    assert _readers("_NODE_LOG") == ["special.py:_ml_contour"]
+
+
+def test_one_mittag_leffler_route_order():
+    # every Mittag-Leffler value takes one route order: the grid's contour
+    # pass, then the per-point chain for what it does not certify, so a
+    # second order (a scalar chain of its own) cannot come back unnoticed
+    assert _readers("_ml_contour") == ["special.py:_ml_grid"]
+    for route in ("_taylor", "_alg_asym", "_series_mpf"):
+        assert _readers(route) == ["special.py:_ml_point"], route

@@ -180,6 +180,8 @@ def test_ml_positive_axis_overflow():
         ml(1.0, 1.0, 710.0)
     with pytest.raises(OverflowError):
         ml(0.5, 1.0, 27.0**2)
+    with pytest.raises(OverflowError):  # 1.4e308: the guard refuses from e^709 on
+        ml(0.7, 1.0, 98.98)
     with pytest.raises(OverflowError):
         ml(0.3, 1.0, 1e9)
     # just under the edge the value is still returned
@@ -269,6 +271,51 @@ def test_ml_contour_route_against_mpmath_series():
     assert certified >= 36
 
 
+def positive_band(n, seed=12):
+    """Seeded (alpha, beta, z) on the positive axis for alpha < 2, with
+    the real pole z^(1/alpha) in [0.1, 250] (the series oracle's reach)."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.05, 1.99, n), rng.uniform(0.2, 2.5, n)
+    u = np.exp(rng.uniform(math.log(0.1), math.log(250.0), n))
+    return [(float(ak), float(bk), float(uk**ak)) for ak, bk, uk in zip(a, b, u)]
+
+
+def test_ml_positive_axis_contour_against_mpmath_series():
+    # for z > 0 the contour adds the residue of the real pole z^(1/alpha)
+    certified = 0
+    for a, b, z in positive_band(40):
+        ref = ml_series_mp(a, b, z)
+        contract = 1e-10 if abs(z) <= 50.0 else 1e-6
+        assert ml(a, b, z) == pytest.approx(ref, rel=contract), (a, b, z)
+        (value,), (est,) = special._ml_contour(a, b, z)
+        if est <= (3e-12 if abs(z) <= 50.0 else 1e-9):
+            certified += 1
+            # the estimate bounds the error it certifies
+            assert abs(value - ref) <= est * abs(ref), (a, b, z, est)
+    assert certified >= 30
+
+
+@pytest.mark.parametrize("a,b,z", [(0.477, 0.967, 10.86), (0.3, 1.0, 4.0), (0.6, 0.8, 3.0),
+                                   (0.9, 1.5, 200.0), (1.2, 2.3, 17.0), (1.7, 0.5, 900.0)])
+def test_ml_positive_axis_needs_no_mpmath(monkeypatch, a, b, z):
+    def refuse(a, b, z):
+        raise AssertionError(f"E_({a},{b})({z}) reached the mpmath fallback")
+
+    ref = ml_series_mp(a, b, z)
+    monkeypatch.setattr(special, "_series_mpf", refuse)
+    assert ml(a, b, z) == pytest.approx(ref, rel=1e-10 if z <= 50.0 else 1e-6)
+
+
+def test_ml_tiny_argument_takes_the_power_series(monkeypatch):
+    # |z|**k underflows harmlessly: the series' overflow guard must not
+    # refuse it and leave alpha >= 2 to the mpmath fallback
+    def refuse(a, b, z):
+        raise AssertionError(f"E_({a},{b})({z}) reached the mpmath fallback")
+
+    monkeypatch.setattr(special, "_series_mpf", refuse)
+    assert ml(2.5, 1.0, -1e-80) == 1.0
+
+
 # kernel order, rate, horizon and sample count of step-strain sweeps that
 # stay below, enter and run far past the band the contour route serves
 HEREDITARY_KERNELS = (
@@ -296,11 +343,11 @@ def test_hereditary_kernels_need_no_mpmath(monkeypatch):
 
 def test_hereditary_kernels_make_no_scalar_fallback(monkeypatch):
     # every point of the hereditary sweeps is certified by the grid's
-    # contour pass, so none of them runs the scalar route chain
-    def refuse(p, z):
-        raise AssertionError(f"E_({p.alpha},{p.beta})({z}) fell back to ml_eval")
+    # contour pass, so none of them runs the per-point route chain
+    def refuse(a, b, z):
+        raise AssertionError(f"E_({a},{b})({z}) fell back to _ml_point")
 
-    monkeypatch.setattr(special, "ml_eval", refuse)
+    monkeypatch.setattr(special, "_ml_point", refuse)
     for alpha, beta, horizon, n in HEREDITARY_KERNELS:
         step = SignalSeries(0.0, horizon / (n - 1), np.ones(n))
         assert np.all(np.isfinite(rabotnov_stress(RabotnovParams(alpha, beta), 1.0, step).values))
@@ -352,15 +399,15 @@ def test_ml_grid_against_mpmath(a, b, z):
         if contour[k]:  # the estimate bounds the error it certifies
             assert got[k] == value[k]
             assert abs(value[k] - ref) <= est[k] * abs(ref), (a, b, zk, est[k])
-        scalar = ml(a, b, float(zk))
-        assert abs(got[k] - scalar) <= 10.0 * tight[k] * abs(scalar), (a, b, zk)
+        assert got[k] == ml(a, b, float(zk)), (a, b, zk)  # one evaluator
 
 
 def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
-    # points the contour pass refuses, z >= 0 and non-finite z take
-    # ml_eval unchanged: its values and its errors
-    z = -np.linspace(0.05, 1.0, 10)
-    real_contour, real_eval, calls = special._ml_contour, special.ml_eval, []
+    # points the contour pass refuses, on either half-axis, z = 0 and
+    # non-finite z take _ml_point unchanged: its values and its errors;
+    # the contour pass keeps the rest
+    z = np.append(-np.linspace(0.05, 1.0, 10), [0.5, 0.7])
+    real_contour, real_point, calls = special._ml_contour, special._ml_point, []
 
     def refuse_odd(a, b, zs):
         value, est = real_contour(a, b, zs)
@@ -368,10 +415,12 @@ def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
         return value, est
 
     monkeypatch.setattr(special, "_ml_contour", refuse_odd)
-    monkeypatch.setattr(special, "ml_eval", lambda p, x: calls.append(x) or real_eval(p, x))
-    got = special._ml_grid(0.6, 1.0, np.append(z, [0.0, 0.5]))
-    assert calls == list(z[1::2]) + [0.0, 0.5]
-    assert list(got[1:-2:2]) + list(got[-2:]) == [ml(0.6, 1.0, x) for x in calls]
+    monkeypatch.setattr(special, "_ml_point",
+                        lambda a, b, x: calls.append(x) or real_point(a, b, x))
+    got = special._ml_grid(0.6, 1.0, np.append(z, 0.0))
+    assert calls == list(z[1::2]) + [0.0]
+    assert list(got[1::2]) + [got[-1]] == [real_point(0.6, 1.0, x) for x in calls]
+    assert list(got[:-1:2]) == list(real_contour(0.6, 1.0, z)[0][::2])
     with pytest.raises(DomainError):
         special._ml_grid(0.6, 1.0, [-1.0, math.nan])
     with pytest.raises(DomainError):
