@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -211,9 +212,10 @@ def _model_params(args) -> dict:
 
 
 def _table(names, columns) -> str:
-    row = ",".join(["{:.15g}"] * len(names)).format
-    lines = map(row, *(np.asarray(c, dtype=float).tolist() for c in columns))
-    return "\n".join([",".join(names), *lines]) + "\n"
+    # one %-format over every cell, row by row: the bytes of _fmt per cell
+    cells = np.column_stack([np.asarray(c, dtype=float) for c in columns]).ravel().tolist()
+    rows = (",".join(["%.15g"] * len(names)) + "\n") * (len(cells) // len(names))
+    return ",".join(names) + "\n" + rows % tuple(cells)
 
 
 def _json_doc(command: str, params: dict, result: dict, diagnostics: dict) -> str:
@@ -329,7 +331,13 @@ def _add_grid_flags(p):
     p.add_argument("--spacing", choices=("log", "linear"), default="log")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process. Reuse is safe:
+    parse_args returns a fresh Namespace on every call, nothing mutates
+    the defaults or handlers after this build, and argparse reads the
+    terminal width when it formats a usage, help or error message, not
+    here, so those bytes do not depend on which call built the parser."""
     parser = argparse.ArgumentParser(
         prog="frheo",
         description="Fractional-calculus viscoelasticity toolkit")

@@ -353,18 +353,14 @@ def _time_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _invert_grid(transform, t: np.ndarray) -> np.ndarray:
-    # the parabola's nodes avoid s = 0 and the branch cut: no
-    # transfer_function checks, and transform takes all nodes at once
-    return np.array([_bromwich(transform, float(tk), _INVERT_TOL) for tk in t])
-
-
 def relaxation_modulus(m: MaterialModel, t_grid) -> MaterialResponse:
     """Stress response to a unit step strain, sampled at t_grid."""
     t = _time_grid(t_grid)
     lhs, rhs = _operator_terms(m)
-    g = m._relaxation(t) if m._relaxation else _invert_grid(
-        lambda s: _ratio(lhs, rhs, s) / s, t)
+    # the parabolas' nodes avoid s = 0 and the branch cut: no
+    # transfer_function checks, and _ratio takes a whole block of nodes
+    g = m._relaxation(t) if m._relaxation else _bromwich(
+        lambda s: _ratio(lhs, rhs, s) / s, t, _INVERT_TOL)
     return MaterialResponse("relaxation", t, g)
 
 
@@ -372,8 +368,8 @@ def creep_compliance(m: MaterialModel, t_grid) -> MaterialResponse:
     """Strain response to a unit step stress, sampled at t_grid."""
     t = _time_grid(t_grid)
     lhs, rhs = _operator_terms(m)
-    j = m._creep(t) if m._creep else _invert_grid(
-        lambda s: 1.0 / (s * _ratio(lhs, rhs, s)), t)
+    j = m._creep(t) if m._creep else _bromwich(
+        lambda s: 1.0 / (s * _ratio(lhs, rhs, s)), t, _INVERT_TOL)
     return MaterialResponse("creep", t, j)
 
 

@@ -3,10 +3,10 @@ fractional-exponential relaxation kernel.
 
 Everything here is real-in/real-out and pure. Every Mittag-Leffler
 value, at one argument or on a grid, takes one route order: for
-alpha < 2 a vectorised double-precision Bromwich integral on
-frheo.laplace's parabola node table, then the power series, on the
-negative axis the algebraic asymptotic series, and last an
-extended-precision series in mpmath. A route is accepted only when its
+alpha < 2 and |z| >= 1e-8 a vectorised double-precision Bromwich
+integral on frheo.laplace's parabola node table, then the power
+series, on the negative axis the algebraic asymptotic series, and last
+an extended-precision series in mpmath. A route is accepted only when its
 internally estimated relative error clears the accuracy target: 1e-10
 for |z| <= 50, 1e-6 beyond, with an order of magnitude of headroom.
 """
@@ -184,6 +184,7 @@ def _alg_asym(a: float, b: float, z: float):
     s = 0.0
     prev_env = math.inf
     env = math.inf
+    arg_err = 0.0
     for k in range(1, 400):
         y = b - a * k
         if y >= 0.5:
@@ -202,10 +203,14 @@ def _alg_asym(a: float, b: float, z: float):
             break
         mag = 0.0 if lterm == -math.inf else math.exp(lterm)
         s += -sign * mag if k % 2 == 0 else sign * mag
+        arg_err += env * (abs(a * k) + abs(y))
         prev_env = env
         if abs(s) > 0.0 and env <= 1e-13 * abs(s):
             break
-    return s, (env + _saddle_size(a, b, x)) / max(abs(s), 1e-300)
+    # a rounded y moves the sine factor by up to pi eps (|a k| + |y|),
+    # which is not small against the factor next to its zeros (a ~ 1)
+    err = env + _saddle_size(a, b, x) + math.pi * _EPS * arg_err
+    return s, err / max(abs(s), 1e-300)
 
 
 _TIGHT = np.array((1e-9, 3e-12))  # indexed by |z| <= 50
@@ -364,19 +369,28 @@ def _ml_point(a: float, b: float, z: float) -> float:
     return v
 
 
+# Below this |z| the power series converges in three terms, while the
+# contour's relative rounding of about 4e-16 may exceed the distance
+# |z| / Gamma(alpha + beta) of the value from E(0) = 1/Gamma(beta): it
+# returned E_{0.5,1}(-1e-80) = 1.0000000000000004. From 1e-8 on that
+# distance is far above the contour's tight level.
+_TINY_Z = 1e-8
+
+
 def _ml_grid(alpha: float, beta: float, args) -> np.ndarray:
     """E_{alpha,beta} at every z of a 1-D grid, within ml_eval's contract.
 
     Unless alpha >= 2 or (alpha, beta) = (1, 1), which keeps its exact
-    exp, every finite z != 0 goes through one contour pass, which keeps
-    a value that clears the tight level and lies below 1e307, short of
-    _ml_point's overflow guard. _ml_point takes the rest in grid order.
+    exp, every finite z with |z| >= _TINY_Z goes through one contour
+    pass, which keeps a value that clears the tight level and lies below
+    1e307, short of _ml_point's overflow guard. _ml_point takes the rest
+    in grid order.
     """
     MLParams(alpha, beta)
     z = np.array(args, dtype=float)
     out = np.full(z.shape, math.nan)
     if alpha < 2.0 and (alpha, beta) != (1.0, 1.0):
-        idx = np.flatnonzero(np.isfinite(z) & (z != 0.0))
+        idx = np.flatnonzero(np.isfinite(z) & (np.abs(z) >= _TINY_Z))
         value, est = _ml_contour(alpha, beta, z[idx])
         keep = (np.abs(value) < 1e307) & (est <= _tight(z[idx]))
         out[idx[keep]] = value[keep]
@@ -390,11 +404,12 @@ def ml_eval(p: MLParams, z: float) -> float:
 
     Relative error <= 1e-10 for |z| <= 50 and <= 1e-6 elsewhere. A
     one-point grid, so equal bit for bit to any grid's value at z; its
-    routes, in order: for alpha < 2 the contour integral, the power
-    series, for z < 0 and alpha < 2 the algebraic asymptotic series, and
-    the extended-precision series. Raises DomainError for a non-finite
-    z and OverflowError when the value leaves double range, as the
-    exp(z**(1/alpha)) growth on the positive axis does.
+    routes, in order: for alpha < 2 and |z| >= 1e-8 the contour
+    integral, the power series, for z < 0 and alpha < 2 the algebraic
+    asymptotic series, and the extended-precision series. Raises
+    DomainError for a non-finite z and OverflowError when the value
+    leaves double range, as the exp(z**(1/alpha)) growth on the
+    positive axis does.
     """
     return float(_ml_grid(p.alpha, p.beta, [z])[0])
 

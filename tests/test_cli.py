@@ -1,8 +1,10 @@
 """Command-line interface: formatting, ingestion, exit codes, round trips."""
 
+import argparse
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -86,6 +88,14 @@ def test_respond_single_point_bytes(capsys):
                 "--tmin", "1", "--tmax", "1", "--points", "1"])
     assert code == 0
     assert capsys.readouterr().out == "t,value\n1,0.564189583547756\n"
+
+
+def test_table_bytes_are_the_per_cell_format():
+    cols = ([0.0, -0.0, 5e-324, 1e16, 123456789.123456789, math.inf],
+            [math.nan, -math.inf, 1 / 3, -2.5e-7, 1.7976931348623157e308, 2.0])
+    want = "a,b\n" + "".join(f"{cli._fmt(x)},{cli._fmt(y)}\n" for x, y in zip(*cols))
+    assert cli._table(("a", "b"), cols) == want
+    assert cli._table(("t", "value"), ([], [])) == "t,value\n"
 
 
 def test_every_model_has_exactly_one_cli_name():
@@ -463,3 +473,65 @@ def test_respond_refuses_non_finite_inversion(function, capsys):
                 "--points", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("E_CONVERGENCE")
+
+
+# ----------------------------------------------------------- parser reuse
+
+def _fresh_process(argv, columns):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS=columns,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "frheo", *argv], capture_output=True,
+                          text=True, env=env)
+    return done.stdout, done.stderr, done.returncode
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # one process runs every command in turn on the one cached parser;
+    # each step's bytes and exit code equal those of a fresh process,
+    # help and usage included, at whatever terminal width each step sees
+    signal, creep = ramp_csv(tmp_path, dt=0.1), creep_csv(tmp_path)
+    respond = ["respond", "--model", "fzener", "--a1", "1", "--b0", "0.5", "--b1", "2",
+               "--alpha", "0.5", "--function", "creep", "--tmin", "0.1", "--tmax", "10",
+               "--points", "7"]
+    steps = [
+        (["ml", "--alpha", "0.5", "--z", "-1"], "80"),
+        (["respond", "--function", "bogus"], "80"),
+        (["--help"], "80"),
+        (["--help"], "40"),
+        (["simulate", "--model", "springpot", "--alpha", "0.5", "--input", signal], "80"),
+        (respond, "80"),
+        (respond + ["--format", "json"], "80"),
+        (["simulate", "--model", "springpot", "--kappa", "1", "--alpha", "0.5",
+          "--input", signal], "80"),
+        (["quasi", "--input", signal, "--stress", "3", "--mu", "0.4"], "80"),
+        (["fit", "nutting", "--input", creep], "80"),
+        (["ml", "--alpha", "0.5", "--z", "-1"], "80"),
+    ]
+    codes = []
+    for argv, columns in steps:
+        monkeypatch.setenv("COLUMNS", columns)
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (out, err, code) == _fresh_process(argv, columns), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for k in range(10):
+        assert run(["ml", "--alpha", "0.5", "--z", str(-k)]) == 0
+        assert run(["respond", "--model", "springpot", "--kappa", "1", "--alpha", "0.5",
+                    "--function", "creep", "--tmin", "1", "--tmax", "2",
+                    "--points", str(k + 2)]) == 0
+    capsys.readouterr()
+    assert len(built) == 6  # the parser and its 5 subparsers

@@ -2,6 +2,7 @@
 time stepping, and the hereditary-kernel route."""
 
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from frheo.errors import (BranchError, DomainError, GridError, QuadratureError,
-                          StabilityError)
+from frheo import laplace
+from frheo.errors import (BranchError, ConvergenceError, DomainError, GridError,
+                          QuadratureError, StabilityError)
 from frheo.fracops import SignalSeries, gl_derivative, gl_weights
 from frheo.laplace import invert
 from frheo.models import (ClassicalKelvin, ClassicalMaxwell, FracKelvinVoigt,
@@ -228,6 +230,47 @@ def test_poynting_against_mpmath_talbot(seed):
                                          method="talbot")
             assert g_t[k] == pytest.approx(float(g_ref), rel=1e-8)
             assert j_t[k] == pytest.approx(float(j_ref), rel=1e-8)
+
+
+def test_poynting_grid_matches_pointwise_inversion():
+    # 300 times span several contour blocks; each keeps its own parabola,
+    # so the grid repeats the scalar inversion of the transfer function
+    m = PoyntingThomson(2.0, 3.0, 1.5, 0.6, 0.8, 0.2)
+    t = np.geomspace(1e-2, 1e2, 300)
+    for response, transform in ((relaxation_modulus, lambda s: transfer_function(m, s) / s),
+                                (creep_compliance, lambda s: 1 / (s * transfer_function(m, s)))):
+        want = [invert(transform, float(tk)) for tk in t]
+        assert_allclose(response(m, t).values, want, rtol=1e-13, atol=0.0)
+
+
+def test_inverted_grid_names_its_first_uncertified_time():
+    # one poisoned time in the second block and one in the third: the
+    # error names the first in grid order, and nothing is returned
+    t = np.geomspace(0.1, 10.0, 300)
+    bad_nodes = laplace._NODES[0] / t[[150, 250]]  # each row's first node
+
+    def transform(s):
+        v = 1.0 / (s + 1.0)
+        v[np.isin(s[:, 0], bad_nodes)] = math.nan
+        return v
+
+    with pytest.raises(ConvergenceError, match=rf"contour sum nan at t={t[150]} is not"):
+        laplace._bromwich(transform, t, 1e-8)
+    assert_allclose(laplace._bromwich(transform, t[:150], 1e-8), np.exp(-t[:150]), rtol=1e-8)
+
+
+def test_inverted_grid_memory_stays_one_block():
+    # a whole-grid (n_t x 180) node array would take 58 MB at 20 000 times
+    t = np.geomspace(1e-2, 1e2, 20_000)
+    m = PoyntingThomson(2.0, 3.0, 1.5, 0.6, 0.8, 0.2)
+    tracemalloc.start()
+    try:
+        j = creep_compliance(m, t).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(j)) and np.all(np.diff(j) > 0.0)
+    assert peak < 4e6, peak
 
 
 def test_classical_kelvin_relaxation_is_flat():

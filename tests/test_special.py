@@ -316,6 +316,25 @@ def test_ml_tiny_argument_takes_the_power_series(monkeypatch):
     assert ml(2.5, 1.0, -1e-80) == 1.0
 
 
+@pytest.mark.parametrize("a,z", [(0.5, -2.2e-309), (0.5, -1e-80), (0.3, -1e-20)])
+def test_ml_never_exceeds_its_value_at_zero_next_to_zero(a, z):
+    # the contour's rounding once put these at 1.0000000000000004
+    assert ml(a, 1.0, z) == 1.0
+    assert list(special._ml_grid(a, 1.0, [z, -1e-8, -1e-3])) == [
+        1.0, ml(a, 1.0, -1e-8), ml(a, 1.0, -1e-3)]
+    assert 1.0 - ml(a, 1.0, -1e-8) == pytest.approx(1e-8 / gamma(1.0 + a), rel=1e-6)
+
+
+def test_ml_asymptotic_series_refuses_a_rounded_reflection_argument():
+    # next to a = 1 every sine factor sin(pi (b - a k)) is tiny and the
+    # rounded argument b - a k moves it by a relative 2e-5: the series
+    # once certified this value with an estimate of 6.5e-14
+    a, b, z = 0.9999999999999983, 1.0, -77.88748797137268
+    assert special._alg_asym(a, b, z)[1] > 1e-9
+    assert ml(a, b, z) == pytest.approx(special._series_mpf(a, b, z), rel=1e-6)
+    assert ml(a, b, z) == pytest.approx(2.19526232e-17, rel=1e-8)
+
+
 # kernel order, rate, horizon and sample count of step-strain sweeps that
 # stay below, enter and run far past the band the contour route serves
 HEREDITARY_KERNELS = (
@@ -444,11 +463,11 @@ def test_ml_complete_monotonicity_property(a, x0, h):
     # E_a(-x) is completely monotone for 0 < a <= 1 (Pollard, 1948): it
     # lies in (0, 1] and (-1)^n times its n-th forward difference on a
     # uniform grid is non-negative. Rounding allowance: every x here is at
-    # most 48.5, where a value may be off by 1e-10 relative, so a value may
-    # exceed 1 by 1e-10 and an n-th difference may be off by 2^n * 1e-10.
+    # most 48.5, where a value may be off by 1e-10 relative, so an n-th
+    # difference may be off by 2^n * 1e-10; no value may exceed E(0) = 1.
     x = x0 + h * np.arange(20)
     for vals in (special._ml_grid(a, 1.0, -x), np.array([ml(a, 1.0, -v) for v in x])):
-        assert np.all((vals > 0.0) & (vals <= 1.0 + 1e-10))
+        assert np.all((vals > 0.0) & (vals <= 1.0))
         diff = vals
         for n in (1, 2, 3):
             diff = np.diff(diff)
