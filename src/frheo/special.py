@@ -4,9 +4,10 @@ fractional-exponential relaxation kernel.
 Everything here is real-in/real-out and pure. Every Mittag-Leffler
 value, at one argument or on a grid, takes one route order: for
 alpha < 2 and |z| >= 1e-8 a vectorised double-precision Bromwich
-integral on frheo.laplace's parabola node table, then the power
-series, on the negative axis the algebraic asymptotic series, and last
-an extended-precision series in mpmath. A route is accepted only when its
+integral on frheo.laplace's parabola node table, where z has a pole
+that integral again with the pole subtracted, then the power series,
+on the negative axis the algebraic asymptotic series, and last an
+extended-precision series in mpmath. A route is accepted only when its
 internally estimated relative error clears the accuracy target: 1e-10
 for |z| <= 50, 1e-6 beyond, with an order of magnitude of headroom.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, _positive
-from .laplace import _COARSE, _FINE, _NODE_LOG, _SPLIT, _WEIGHTS
+from .laplace import _COARSE, _FINE, _NODE_LOG, _NODES, _SPLIT, _WEIGHTS
 
 _EPS = 2.220446049250313e-16
 _LN_PI = math.log(math.pi)
@@ -226,7 +227,7 @@ def _tight(z):
 _BLOCK = 256  # z values per contour pass: a (256 x 98) complex array, 0.4 MB
 
 
-def _ml_contour(a: float, b: float, z):
+def _ml_contour(a: float, b: float, z, subtract: bool = False):
     """E_{a,b} at an array of z != 0 for 0 < a < 2 from the Bromwich
     integral of s^(a-b)/(s^a - z) at t = 1 on the coarse and the fine
     parabola. The node powers s^-b and s^-a are formed once for the
@@ -239,18 +240,23 @@ def _ml_contour(a: float, b: float, z):
     s* = |z|^(1/a) e^(+-i pi/a); a pole right of a parabola is outside
     its integral and adds its residue, and the estimate adds the error a
     pole near the contour leaves in the trapezoid sum.
+
+    With subtract, the principal part c/(s - s*) of each pole, c =
+    s*^(1-b)/a its residue, is taken out of the integrand and its exact
+    transform c e^(s*) added back on whichever side of the parabolas the
+    pole lies: a pole next to the contour then costs the trapezoid sums
+    nothing, and the rounding term also counts the subtracted terms and
+    the conditioning of 1 - z s^-a next to the pole. Far from the
+    contour the subtracted terms only add rounding, so this is the
+    second try for the points with a pole that the plain sums refuse.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     coarse, fine, err = np.empty((3, z.size))
     with np.errstate(all="ignore"):
-        x = np.exp(np.multiply.outer((-b, -a), _NODE_LOG))
-        numer = _WEIGHTS * x[0]
-        for i in range(0, z.size, _BLOCK):
-            g = numer / (1.0 - z[i:i + _BLOCK, None] * x[1])
-            coarse[i:i + _BLOCK], fine[i:i + _BLOCK] = np.add.reduceat(
-                g.real, (0, _SPLIT), axis=1).T
-            err[i:i + _BLOCK] = 4.0 * _EPS * np.abs(g[:, _SPLIT:]).sum(axis=1)
         live = np.flatnonzero((z > 0.0) | (a > 1.0))
+        # residues c and poles s* to subtract, the conjugates of a pair in
+        # the second row; a zero residue subtracts nothing
+        c, at = np.zeros((2, 2, z.size if subtract else 0), complex)
         if live.size:
             pair = z[live] < 0.0
             lu = np.log(np.abs(z[live])) / a  # log |s*|
@@ -258,22 +264,47 @@ def _ml_contour(a: float, b: float, z):
             # s*^(1-b) e^(s*) / a, doubled for a pair: its real part is the
             # sum of the two conjugate residues
             res = (1.0 + pair) / a * np.exp((1.0 - b) * np.log(pole) + pole)
-            (mu_coarse, _, _, _), (mu_fine, h_fine, _, _) = _COARSE, _FINE
-            # the pole's image u* on a parabola: Re sqrt(s*/mu) > 1 puts it
-            # right of the contour, and |Re sqrt(s*/mu) - 1| = |Im u*|
-            w_coarse = np.sqrt(pole / mu_coarse).real
-            w_fine = np.sqrt(pole / mu_fine).real
-            coarse[live] += np.where(w_coarse > 1.0, res.real, 0.0)
-            fine[live] += np.where(w_fine > 1.0, res.real, 0.0)
-            # a pole at distance d from the real u axis costs the trapezoid
-            # sum about |res| q/(1 - q), q = exp(-2 pi d / h); the residue's
-            # exponent s* = exp(log|z| / a) carries a rounding error of up
-            # to about (4 + 2 |log s*|) |s*| eps
-            q = np.exp(-2.0 * math.pi * np.abs(w_fine - 1.0) / h_fine)
-            # a residue out of double range leaves an infinite or NaN
-            # estimate, which certifies nothing
-            err[live] += np.abs(res) * (_EPS * np.abs(pole) * (4.0 + 2.0 * np.abs(lu))
-                                        + np.where(q < 1.0, q / (1.0 - q), math.inf))
+            if subtract:
+                c[0, live] = np.exp((1.0 - b) * np.log(pole)) / a
+                c[1, live] = c[0, live].conj() * pair
+                at[0, live], at[1, live] = pole, pole.conj()
+        x = np.exp(np.multiply.outer((-b, -a), _NODE_LOG))
+        numer = _WEIGHTS * x[0]
+        for i in range(0, z.size, _BLOCK):
+            blk = slice(i, i + _BLOCK)
+            g = numer / (1.0 - z[blk, None] * x[1])
+            size = np.abs(g[:, _SPLIT:])
+            if subtract:
+                part = _WEIGHTS * sum(ck[blk, None] / (_NODES - sk[blk, None])
+                                      for ck, sk in zip(c, at))
+                g -= part
+                zx = z[blk, None] * x[1, _SPLIT:]
+                size *= 1.0 + np.abs(zx / (1.0 - zx))
+                size += np.abs(part[:, _SPLIT:])
+            coarse[blk], fine[blk] = np.add.reduceat(g.real, (0, _SPLIT), axis=1).T
+            err[blk] = 4.0 * _EPS * size.sum(axis=1)
+        if live.size:
+            # the residue's exponent s* = exp(log|z| / a) carries a rounding
+            # error of up to about (4 + 2 |log s*|) |s*| eps
+            rounding = _EPS * np.abs(pole) * (4.0 + 2.0 * np.abs(lu))
+            if subtract:
+                coarse[live] += res.real
+                fine[live] += res.real
+                err[live] += np.abs(res) * rounding
+            else:
+                (mu_coarse, _, _, _), (mu_fine, h_fine, _, _) = _COARSE, _FINE
+                # the pole's image u* on a parabola: Re sqrt(s*/mu) > 1 puts
+                # it right of the contour, and |Re sqrt(s*/mu) - 1| = |Im u*|
+                w_coarse = np.sqrt(pole / mu_coarse).real
+                w_fine = np.sqrt(pole / mu_fine).real
+                coarse[live] += np.where(w_coarse > 1.0, res.real, 0.0)
+                fine[live] += np.where(w_fine > 1.0, res.real, 0.0)
+                # a pole at distance d from the real u axis costs the
+                # trapezoid sum about |res| q/(1 - q), q = exp(-2 pi d / h);
+                # a residue out of double range leaves an infinite or NaN
+                # estimate, which certifies nothing
+                q = np.exp(-2.0 * math.pi * np.abs(w_fine - 1.0) / h_fine)
+                err[live] += np.abs(res) * (rounding + np.where(q < 1.0, q / (1.0 - q), math.inf))
         return fine, np.where(fine == 0.0, math.inf, (np.abs(fine - coarse) + err) / np.abs(fine))
 
 
@@ -383,17 +414,23 @@ def _ml_grid(alpha: float, beta: float, args) -> np.ndarray:
     Unless alpha >= 2 or (alpha, beta) = (1, 1), which keeps its exact
     exp, every finite z with |z| >= _TINY_Z goes through one contour
     pass, which keeps a value that clears the tight level and lies below
-    1e307, short of _ml_point's overflow guard. _ml_point takes the rest
-    in grid order.
+    1e307, short of _ml_point's overflow guard; the refused points with
+    a pole get a second pass with the poles subtracted, under the same
+    rule. _ml_point takes the rest in grid order.
     """
     MLParams(alpha, beta)
     z = np.array(args, dtype=float)
     out = np.full(z.shape, math.nan)
     if alpha < 2.0 and (alpha, beta) != (1.0, 1.0):
         idx = np.flatnonzero(np.isfinite(z) & (np.abs(z) >= _TINY_Z))
-        value, est = _ml_contour(alpha, beta, z[idx])
-        keep = (np.abs(value) < 1e307) & (est <= _tight(z[idx]))
-        out[idx[keep]] = value[keep]
+        for subtract in (False, True):
+            value, est = _ml_contour(alpha, beta, z[idx], subtract)
+            keep = (np.abs(value) < 1e307) & (est <= _tight(z[idx]))
+            out[idx[keep]] = value[keep]
+            # the second try takes the refused points that have a pole
+            idx = idx[~keep & ((z[idx] > 0.0) | (alpha > 1.0))]
+            if not idx.size:
+                break
     for i in np.flatnonzero(np.isnan(out)):
         out[i] = _ml_point(alpha, beta, float(z[i]))
     return out
@@ -405,7 +442,8 @@ def ml_eval(p: MLParams, z: float) -> float:
     Relative error <= 1e-10 for |z| <= 50 and <= 1e-6 elsewhere. A
     one-point grid, so equal bit for bit to any grid's value at z; its
     routes, in order: for alpha < 2 and |z| >= 1e-8 the contour
-    integral, the power series, for z < 0 and alpha < 2 the algebraic
+    integral, where z has a pole that integral again with the pole
+    subtracted, the power series, for z < 0 and alpha < 2 the algebraic
     asymptotic series, and the extended-precision series. Raises
     DomainError for a non-finite z and OverflowError when the value
     leaves double range, as the exp(z**(1/alpha)) growth on the

@@ -306,6 +306,50 @@ def test_ml_positive_axis_needs_no_mpmath(monkeypatch, a, b, z):
     assert ml(a, b, z) == pytest.approx(ref, rel=1e-10 if z <= 50.0 else 1e-6)
 
 
+# points with 1 < alpha < 2 and a pole pair next to the parabola (first
+# five) or a coarse rule the pair spoils (the next two), which the plain
+# contour pass refuses: sweep ml jobs of seeds 1 and 3 and the example
+# of ROADMAP item 3
+POLE_NEAR_CONTOUR = [(1.4085, 0.9739, -91.931), (1.6810, 1.7315, -126.0),
+                     (1.7443, 1.1948, -74.747), (1.7816, 0.9806, -41.697),
+                     (1.823, 1.342, -106.7), (1.4426, 1.8541, -31.774),
+                     (1.6164, 1.1328, -22.098), (1.3803, 1.6570, -40.752)]
+
+
+@pytest.mark.parametrize("a,b,z", POLE_NEAR_CONTOUR)
+def test_ml_pole_near_the_contour_needs_no_mpmath(monkeypatch, a, b, z):
+    def refuse(a, b, z):
+        raise AssertionError(f"E_({a},{b})({z}) reached the mpmath fallback")
+
+    assert special._ml_contour(a, b, [z])[1][0] > special._tight(z)  # the plain pass refuses
+    ref = ml_series_mp(a, b, z)
+    monkeypatch.setattr(special, "_series_mpf", refuse)
+    assert ml(a, b, z) == pytest.approx(ref, rel=1e-10 if abs(z) <= 50.0 else 1e-6)
+    (value,), (est,) = special._ml_contour(a, b, [z], True)
+    assert abs(value - ref) <= est * abs(ref)
+
+
+def test_ml_pole_subtraction_estimate_with_the_pole_on_a_node():
+    # a pole pair placed on a parabola node, or up to 1e-3 off it: the
+    # subtracted principal part cancels the integrand there, and every
+    # value the estimate certifies lies within it
+    rng = np.random.default_rng(21)
+    certified = 0
+    for s in special._NODES[::4]:
+        angle = math.atan2(s.imag, s.real)
+        if not math.pi / 2 < angle < 0.99 * math.pi:
+            continue
+        a = math.pi / angle
+        for d in (0.0, 1e-12, 1e-6, 1e-3):
+            b, z = float(rng.uniform(0.2, 2.5)), -(abs(s) * (1.0 + d))**a
+            (value,), (est,) = special._ml_contour(a, b, [z], True)
+            if est <= special._tight(z):
+                certified += 1
+                ref = ml_series_mp(a, b, z)
+                assert abs(value - ref) <= est * abs(ref), (a, b, z, est)
+    assert certified >= 10
+
+
 def test_ml_tiny_argument_takes_the_power_series(monkeypatch):
     # |z|**k underflows harmlessly: the series' overflow guard must not
     # refuse it and leave alpha >= 2 to the mpmath fallback
@@ -422,21 +466,28 @@ def test_ml_grid_against_mpmath(a, b, z):
 
 
 def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
-    # points the contour pass refuses, on either half-axis, z = 0 and
+    # points both contour passes refuse, on either half-axis, z = 0 and
     # non-finite z take _ml_point unchanged: its values and its errors;
-    # the contour pass keeps the rest
+    # the first pass keeps the rest, and only its refused points with a
+    # pole (z > 0 at alpha < 1) reach the second
     z = np.append(-np.linspace(0.05, 1.0, 10), [0.5, 0.7])
     real_contour, real_point, calls = special._ml_contour, special._ml_point, []
+    second = []
 
-    def refuse_odd(a, b, zs):
-        value, est = real_contour(a, b, zs)
-        est[1::2] = math.inf
+    def refuse_odd(a, b, zs, subtract=False):
+        value, est = real_contour(a, b, zs, subtract)
+        if subtract:
+            second.append(list(zs))
+            est[:] = math.inf
+        else:
+            est[1::2] = math.inf
         return value, est
 
     monkeypatch.setattr(special, "_ml_contour", refuse_odd)
     monkeypatch.setattr(special, "_ml_point",
                         lambda a, b, x: calls.append(x) or real_point(a, b, x))
     got = special._ml_grid(0.6, 1.0, np.append(z, 0.0))
+    assert second == [[0.7]]
     assert calls == list(z[1::2]) + [0.0]
     assert list(got[1::2]) + [got[-1]] == [real_point(0.6, 1.0, x) for x in calls]
     assert list(got[:-1:2]) == list(real_contour(0.6, 1.0, z)[0][::2])
