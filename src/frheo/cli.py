@@ -3,12 +3,12 @@
 Five commands: `ml` (point evaluation of the Mittag-Leffler function),
 `respond` (material-function sweeps on a grid), `simulate` (stress from
 a strain-history file), `fit nutting` (creep-law regression) and
-`quasi` (quasi-property extraction). Output is CSV or JSON with numbers
-at 15 significant digits so identical invocations produce identical
-bytes on any platform.
+`quasi` (quasi-property extraction). Each returns raw values; one
+renderer writes them as CSV or JSON with numbers at 15 significant
+digits so identical invocations produce identical bytes on any platform.
 
-Exit codes: 0 success, 1 numerical or data failure (one-line
-`E_CODE: message` on stderr), 2 usage error.
+Exit codes: 0 success, 1 numerical, data or output-file failure
+(one-line `E_CODE: message` on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
 
-def _round15(x) -> float:
-    # JSON floats go through the same 15-digit funnel as CSV text
-    return float(_fmt(x))
-
-
 def _flag(field: str) -> str:
     return "--lambda" if field == "lam" else f"--{field}"
 
@@ -107,7 +102,10 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"input file not found: {path}")
-    data = p.read_bytes()
+    try:
+        data = p.read_bytes()
+    except OSError as e:
+        raise FormatError(f"{path}: cannot be read ({e.strerror})") from None
     series = _bulk_signal(data)
     if series is not None:
         return series
@@ -207,7 +205,7 @@ def _build_grid(args) -> np.ndarray:
 def _model_params(args) -> dict:
     out = {"model": args.model}
     for f in dataclasses.fields(_MODEL_SPECS[args.model]):
-        out["lambda" if f.name == "lam" else f.name] = _round15(getattr(args, f.name))
+        out[_flag(f.name)[2:]] = getattr(args, f.name)
     return out
 
 
@@ -218,98 +216,84 @@ def _table(names, columns) -> str:
     return ",".join(names) + "\n" + rows % tuple(cells)
 
 
-def _json_doc(command: str, params: dict, result: dict, diagnostics: dict) -> str:
-    doc = {"command": command, "params": params, "result": result,
-           "diagnostics": diagnostics}
-    return json.dumps(doc, indent=2) + "\n"
+def _round15(v):
+    # JSON floats go through the same 15-digit funnel as CSV text, arrays
+    # element by element; ints, strings and bools pass unchanged
+    if isinstance(v, np.ndarray):
+        return [float(_fmt(x)) for x in v]
+    return float(_fmt(v)) if isinstance(v, float) else v
 
 
-def _columns(values) -> list:
-    return [_round15(v) for v in values]
+def _render(command: str, fmt: str, params: dict, result: dict, diagnostics: dict) -> str:
+    """Every output byte of a command. JSON holds the four parts, params and
+    result through _round15. CSV follows the result: arrays make a table, one
+    scalar a bare number, several a header and one row, diagnostics last."""
+    if fmt == "json":
+        doc = {"command": command,
+               "params": {k: _round15(v) for k, v in params.items()},
+               "result": {k: _round15(v) for k, v in result.items()},
+               "diagnostics": diagnostics}
+        return json.dumps(doc, indent=2) + "\n"
+    values = list(result.values())
+    if isinstance(values[0], np.ndarray):
+        return _table(tuple(result), values)
+    if len(values) == 1:
+        return _fmt(values[0]) + "\n"
+    row = {**result, **diagnostics}  # a non-float cell takes its JSON spelling
+    cells = (_fmt(v) if isinstance(v, float) else json.dumps(v) for v in row.values())
+    return ",".join(row) + "\n" + ",".join(cells) + "\n"
 
 
-def _cmd_ml(args) -> str:
+def _cmd_ml(args):
     try:
-        params = MLParams(args.alpha, args.beta)
+        p = MLParams(args.alpha, args.beta)
     except FrheoError as e:
         raise _UsageError(f"{e.code}: {e}") from e
-    value = ml_eval(params, args.z)
-    if args.format == "json":
-        return _json_doc("ml",
-                         {"alpha": _round15(args.alpha),
-                          "beta": _round15(args.beta),
-                          "z": _round15(args.z)},
-                         {"value": _round15(value)}, {})
-    return _fmt(value) + "\n"
+    return ({"alpha": args.alpha, "beta": args.beta, "z": args.z},
+            {"value": ml_eval(p, args.z)}, {})
 
 
-def _cmd_respond(args) -> str:
+def _cmd_respond(args):
     model = _build_model(args)
-    grid = _build_grid(args)
-    resp = _RESPONSE_FN[args.function](model, grid)
+    resp = _RESPONSE_FN[args.function](model, _build_grid(args))
     params = _model_params(args)
-    params.update(function=args.function, tmin=_round15(args.tmin),
-                  tmax=_round15(args.tmax), points=args.points,
-                  spacing=args.spacing)
-    if resp.kind == "complex":
-        names = ("omega", "storage", "loss")
-        cols = (resp.abscissae, resp.values.real, resp.values.imag)
-    else:
-        names = ("t", "value")
-        cols = (resp.abscissae, resp.values)
-    if args.format == "json":
-        result = {n: _columns(c) for n, c in zip(names, cols)}
-        return _json_doc("respond", params, result, {})
-    return _table(names, cols)
+    params.update(function=args.function, tmin=args.tmin, tmax=args.tmax,
+                  points=args.points, spacing=args.spacing)
+    x, v = resp.abscissae, resp.values
+    result = ({"omega": x, "storage": v.real, "loss": v.imag} if resp.kind == "complex"
+              else {"t": x, "value": v})
+    return params, result, {}
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args):
     model = _build_model(args)
     series = ingest_csv(args.input)
     if not isinstance(series, SignalSeries):
         raise FormatError(f"{args.input}: simulate expects a t,value signal file")
     stress = simulate_stress(model, series)
-    params = _model_params(args)
-    params["input"] = args.input
-    if args.format == "json":
-        result = {"t": _columns(stress.times()), "value": _columns(stress.values)}
-        return _json_doc("simulate", params, result, {})
-    return _table(("t", "value"), (stress.times(), stress.values))
+    return ({**_model_params(args), "input": args.input},
+            {"t": stress.times(), "value": stress.values}, {})
 
 
-def _cmd_fit(args) -> str:
+def _cmd_fit(args):
     records = ingest_csv(args.input)
     if isinstance(records, SignalSeries):
         raise FormatError(f"{args.input}: fit expects a t,stress,strain file")
     fit = fit_nutting(records)
-    if args.format == "json":
-        return _json_doc(
-            "fit", {"law": args.law, "input": args.input},
-            {"psi": _round15(fit.psi), "alpha": _round15(fit.alpha),
-             "beta_exp": _round15(fit.beta_exp),
-             "rms_log_residual": _round15(fit.rms_log_residual)},
+    return ({"law": args.law, "input": args.input},
+            {"psi": fit.psi, "alpha": fit.alpha, "beta_exp": fit.beta_exp,
+             "rms_log_residual": fit.rms_log_residual},
             {"n_points": fit.n_points, "beta_fixed": fit.beta_fixed,
              "alpha_range_violation": fit.alpha_range_violation})
-    header = ("psi,alpha,beta_exp,rms_log_residual,n_points,"
-              "beta_fixed,alpha_range_violation")
-    row = ",".join([_fmt(fit.psi), _fmt(fit.alpha), _fmt(fit.beta_exp),
-                    _fmt(fit.rms_log_residual), str(fit.n_points),
-                    str(fit.beta_fixed).lower(),
-                    str(fit.alpha_range_violation).lower()])
-    return header + "\n" + row + "\n"
 
 
-def _cmd_quasi(args) -> str:
+def _cmd_quasi(args):
     series = ingest_csv(args.input)
     if not isinstance(series, SignalSeries):
         raise FormatError(f"{args.input}: quasi expects a t,value signal file")
     out = quasi_property(args.stress, series, args.mu)
-    if args.format == "json":
-        params = {"stress": _round15(args.stress), "mu": _round15(args.mu),
-                  "input": args.input}
-        result = {"t": _columns(out.times()), "value": _columns(out.values)}
-        return _json_doc("quasi", params, result, {})
-    return _table(("t", "value"), (out.times(), out.values))
+    return ({"stress": args.stress, "mu": args.mu, "input": args.input},
+            {"t": out.times(), "value": out.values}, {})
 
 
 def _add_output_flags(p):
@@ -386,21 +370,22 @@ def run(argv=None) -> int:
     except SystemExit as e:  # argparse already printed the diagnostic
         return 0 if e.code in (0, None) else int(e.code)
     try:
-        text = args.handler(args)
+        text = _render(args.command, args.format, *args.handler(args))
     except _UsageError as e:
         sys.stderr.write(f"frheo: {e}\n")
         return 2
-    except FrheoError as e:
-        sys.stderr.write(f"{e.code}: {e}\n")
+    except (FrheoError, OverflowError) as e:  # a bare OverflowError has no code
+        sys.stderr.write(f"{getattr(e, 'code', 'E_OVERFLOW')}: {e}\n")
         return 1
-    except OverflowError as e:
-        sys.stderr.write(f"E_OVERFLOW: {e}\n")
-        return 1
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        sys.stderr.write(f"E_IO: {args.output}: {e.strerror}\n")
+        return 1
     return 0
 
 

@@ -292,6 +292,9 @@ class MaterialResponse:
         _time_grid(x)
         if v.shape != x.shape:
             raise DomainError("values and abscissae lengths must match")
+        if not np.all(np.isfinite(v)):
+            i = int(np.argmin(np.isfinite(v)))
+            raise OverflowError(f"{kind} value at {x[i]:g} exceeds double range")
         x.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "kind", kind)
@@ -358,9 +361,13 @@ def relaxation_modulus(m: MaterialModel, t_grid) -> MaterialResponse:
     t = _time_grid(t_grid)
     lhs, rhs = _operator_terms(m)
     # the parabolas' nodes avoid s = 0 and the branch cut: no
-    # transfer_function checks, and _ratio takes a whole block of nodes
-    g = m._relaxation(t) if m._relaxation else _bromwich(
-        lambda s: _ratio(lhs, rhs, s) / s, t, _INVERT_TOL)
+    # transfer_function checks, and _ratio takes a whole block of nodes;
+    # a closed form may overflow, and MaterialResponse refuses what it leaves
+    # non-finite, so numpy need not warn; _bromwich refuses a non-finite sum
+    # on its own
+    with np.errstate(all="ignore"):
+        g = m._relaxation(t) if m._relaxation else _bromwich(
+            lambda s: _ratio(lhs, rhs, s) / s, t, _INVERT_TOL)
     return MaterialResponse("relaxation", t, g)
 
 
@@ -368,8 +375,9 @@ def creep_compliance(m: MaterialModel, t_grid) -> MaterialResponse:
     """Strain response to a unit step stress, sampled at t_grid."""
     t = _time_grid(t_grid)
     lhs, rhs = _operator_terms(m)
-    j = m._creep(t) if m._creep else _bromwich(
-        lambda s: 1.0 / (s * _ratio(lhs, rhs, s)), t, _INVERT_TOL)
+    with np.errstate(all="ignore"):
+        j = m._creep(t) if m._creep else _bromwich(
+            lambda s: 1.0 / (s * _ratio(lhs, rhs, s)), t, _INVERT_TOL)
     return MaterialResponse("creep", t, j)
 
 
@@ -379,7 +387,9 @@ def complex_modulus(m: MaterialModel, omega_grid) -> MaterialResponse:
     Storage modulus is the real part, loss modulus the imaginary part.
     """
     w = _time_grid(omega_grid)  # omega > 0 keeps s off 0 and the negative axis
-    return MaterialResponse("complex", w, _ratio(*_operator_terms(m), 1j * w))
+    with np.errstate(all="ignore"):
+        g = _ratio(*_operator_terms(m), 1j * w)
+    return MaterialResponse("complex", w, g)
 
 
 def _toeplitz_solve(col: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -369,17 +369,58 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert float(last[1]) == pytest.approx(1.0 / gamma(1.5), rel=2e-2)
 
 
-def _json_matches_csv(argv, capsys, command):
+def _json_matches_csv(argv, capsys, command, names=("t", "value")):
     assert run(argv) == 0
-    rows = [[float(c) for c in line.split(",")]
-            for line in capsys.readouterr().out.splitlines()[1:]]
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [[float(c) for c in line.split(",")] for line in lines]
     assert run(argv + ["--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"command", "params", "result", "diagnostics"}
     assert doc["command"] == command and doc["diagnostics"] == {}
-    assert set(doc["result"]) == {"t", "value"}
-    assert [list(r) for r in zip(doc["result"]["t"], doc["result"]["value"])] == rows
+    assert header.split(",") == list(names) == list(doc["result"])
+    assert [list(r) for r in zip(*doc["result"].values())] == rows
     return doc
+
+
+POYNTING = ["--model", "poynting", "--E", "2", "--E0", "1.5", "--lambda", "0.8",
+            "--alpha", "0.5", "--beta", "0.7", "--gamma", "0.2"]
+
+
+@pytest.mark.parametrize("function,names", [("relaxation", ["t", "value"]),
+                                            ("complex", ["omega", "storage", "loss"])])
+def test_respond_json_matches_csv(capsys, function, names):
+    doc = _json_matches_csv(["respond", *POYNTING, "--function", function, "--tmin", "0.1",
+                             "--tmax", "10", "--points", "7"], capsys, "respond", names)
+    assert doc["params"] == {"model": "poynting", "E": 2.0, "E0": 1.5, "lambda": 0.8,
+                             "alpha": 0.5, "beta": 0.7, "gamma": 0.2, "function": function,
+                             "tmin": 0.1, "tmax": 10.0, "points": 7, "spacing": "log"}
+
+
+def test_ml_json_matches_csv(capsys):
+    argv = ["ml", "--alpha", "0.5", "--beta", "0.9", "--z", "-2.5"]
+    assert run(argv) == 0
+    value = float(capsys.readouterr().out)
+    assert run(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"] == {"alpha": 0.5, "beta": 0.9, "z": -2.5}
+    assert doc["result"] == {"value": value} and doc["diagnostics"] == {}
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["stress varies", "beta fixed"])
+def test_fit_json_matches_csv(tmp_path, capsys, fixed):
+    path = creep_csv(tmp_path) if not fixed else write(
+        tmp_path / "fixed.csv", "t,stress,strain\n0.5,2,0.3\n1,2,0.4\n2,2,0.55\n")
+    assert run(["fit", "nutting", "--input", path]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert run(["fit", "nutting", "--input", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"] == {"law": "nutting", "input": path}
+    fields = {**doc["result"], **doc["diagnostics"]}
+    assert header.split(",") == list(fields)
+    cells = [json.loads(c) for c in row.split(",")]
+    assert cells == list(fields.values())
+    assert [type(c) for c in cells[4:]] == [int, bool, bool]
+    assert doc["diagnostics"]["beta_fixed"] is fixed
 
 
 def test_simulate_json_matches_csv(tmp_path, capsys):
@@ -473,6 +514,39 @@ def test_respond_refuses_non_finite_inversion(function, capsys):
                 "--points", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("E_CONVERGENCE")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "cmaxwell", "--E", "1e-320", "--tau", "1e-320", "--function", "creep",
+     "--tmin", "1", "--tmax", "10"],
+    ["--model", "springpot", "--kappa", "1e308", "--alpha", "0.5", "--function", "complex",
+     "--tmin", "1e300", "--tmax", "1e305"],
+], ids=["maxwell creep inf", "springpot complex nan"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_respond_refuses_non_finite_values(capsys, argv, fmt):
+    assert run(["respond", *argv, "--points", "3", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("E_OVERFLOW: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_output_is_one_io_line(tmp_path, capsys, where):
+    target = str(tmp_path / "no" / "x.csv" if where == "missing directory" else tmp_path)
+    assert run(["ml", "--alpha", "0.5", "--z", "-1", "--output", target]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"E_IO: {target}: ") and err.count("\n") == 1
+
+
+def test_unreadable_input_is_one_format_line(tmp_path, capsys, monkeypatch):
+    # the suite may run as root, which reads any file: refuse the read instead
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    path = ramp_csv(tmp_path)
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    assert run(["quasi", "--input", path, "--stress", "1", "--mu", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"E_FORMAT: {path}: cannot be read (Permission denied)\n"
 
 
 # ----------------------------------------------------------- parser reuse

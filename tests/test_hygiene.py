@@ -76,10 +76,10 @@ def test_no_dead_private_name(module):
     assert not dead, f"{module} defines but never reads: {', '.join(dead)}"
 
 
-def _outside_convolution_helper(tree):
-    """Nodes of a module outside the body of fracops._causal_convolve."""
+def _outside(tree, *functions):
+    """Nodes of a module outside the bodies of the named functions."""
     skip = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-            and f.name == "_causal_convolve" for n in ast.walk(f)}
+            and f.name in functions for n in ast.walk(f)}
     return (n for n in ast.walk(tree) if id(n) not in skip)
 
 
@@ -98,11 +98,19 @@ def test_one_convolution_path(module):
     # every convolution goes through fracops._causal_convolve, so that a
     # direct O(n^2) sum or an unsplit FFT cannot come back unnoticed
     found = [f"{_dotted(n)} (line {n.lineno})"
-             for n in _outside_convolution_helper(TREES[module])
+             for n in _outside(TREES[module], "_causal_convolve")
              if isinstance(n, ast.Attribute)
              and (_dotted(n).split(".")[:2] in (["np", "fft"], ["numpy", "fft"])
                   or _dotted(n) in ("np.convolve", "numpy.convolve"))]
     assert not found, f"{module} convolves outside _causal_convolve: {', '.join(found)}"
+
+
+def test_one_output_path():
+    # every output byte comes from cli._render, which run calls with the
+    # format, so that a per-command format branch cannot come back unnoticed
+    found = [f"line {n.lineno}" for n in _outside(TREES["cli.py"], "run", "_render")
+             if isinstance(n, ast.Attribute) and n.attr == "format"]
+    assert not found, f"cli.py reads .format outside run and _render: {', '.join(found)}"
 
 
 def _readers(name: str) -> list:

@@ -655,6 +655,17 @@ def test_response_validation():
     assert len(r) == 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda: creep_compliance(ClassicalMaxwell(1e-320, 1e-320), [1.0, 10.0]),  # 1/E = inf
+    lambda: complex_modulus(SpringPot(1e308, 0.5), [1e300, 1e305]),  # inf / inf = nan
+    lambda: MaterialResponse("relaxation", [1.0, 2.0], [1.0, math.nan]),
+], ids=["maxwell creep", "springpot complex", "constructor"])
+def test_non_finite_response_is_refused(call):
+    # RuntimeWarnings are errors in this suite, so none may escape either
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        call()
+
+
 def test_time_grid_validation():
     m = SpringPot(1.0, 0.5)
     with pytest.raises(DomainError):

@@ -329,6 +329,21 @@ def test_ml_pole_near_the_contour_needs_no_mpmath(monkeypatch, a, b, z):
     assert abs(value - ref) <= est * abs(ref)
 
 
+def test_ml_next_to_a_zero_takes_the_asymptotic_series(monkeypatch):
+    # why _alg_asym stays: with |beta - alpha| < 0.1 next to a zero of E
+    # the contour pass and the power series refuse, the asymptotic series
+    # certifies (estimate 3.1e-14), and mpmath's series needs about two
+    # minutes for the value frozen here
+    def refuse(a, b, z):
+        raise AssertionError(f"E_({a},{b})({z}) reached the mpmath fallback")
+
+    a, b, z = 0.43433185764985605, 0.43765362298757393, -27.40127909207043
+    assert special._ml_contour(a, b, [z])[1][0] > special._tight(z)
+    assert special._taylor(a, b, z) is None
+    monkeypatch.setattr(special, "_series_mpf", refuse)
+    assert ml(a, b, z) == pytest.approx(4.8174462346137035e-4, rel=1e-10)
+
+
 def test_ml_pole_subtraction_estimate_with_the_pole_on_a_node():
     # a pole pair placed on a parabola node, or up to 1e-3 off it: the
     # subtracted principal part cancels the integrand there, and every
