@@ -6,6 +6,8 @@ surface failures as one-line diagnostics without string matching.
 
 import math
 
+import numpy as np
+
 
 class FrheoError(Exception):
     """Base class for all package errors."""
@@ -76,3 +78,12 @@ class FormatError(FrheoError):
 def _positive(value, name: str) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a positive real, got {value}")
+
+
+def _in_range(values, abscissae, name: str) -> None:
+    """Refuse values that left double range with OverflowError, naming the
+    abscissa of the first."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise OverflowError(f"{name} at {abscissae[i]:g} exceeds double range")

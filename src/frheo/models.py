@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BranchError, DomainError, GridError, QuadratureError, StabilityError,
-                     _positive)
+                     _in_range, _positive)
 from .fracops import (SignalSeries, _causal_convolve, _grid_break, _order, gl_derivative,
                       gl_weights)
 from .laplace import _bromwich
@@ -292,9 +292,7 @@ class MaterialResponse:
         _time_grid(x)
         if v.shape != x.shape:
             raise DomainError("values and abscissae lengths must match")
-        if not np.all(np.isfinite(v)):
-            i = int(np.argmin(np.isfinite(v)))
-            raise OverflowError(f"{kind} value at {x[i]:g} exceeds double range")
+        _in_range(v, x, f"{kind} value")
         x.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "kind", kind)
@@ -320,12 +318,19 @@ def _operator_terms(m: MaterialModel):
 
 
 def _ratio(lhs, rhs, s):
-    # D^nu -> s^nu, for one complex s or an array of contour nodes
+    # D^nu -> s^nu at an array of s, each power exp(nu log s) from one
+    # logarithm; numpy forms orders 0, 1/2 and 1 without one (ones, sqrt,
+    # a copy), so those stay s**nu
+    log_s = np.log(s)
+
+    def power(nu):
+        return s**nu if nu in (0.0, 0.5, 1.0) else np.exp(nu * log_s)
+
     num, den = 0.0, 1.0
     for c, nu in rhs:
-        num += c * s**nu
+        num += c * power(nu)
     for c, nu in lhs:
-        den += c * s**nu
+        den += c * power(nu)
     return num / den
 
 
@@ -333,14 +338,17 @@ def transfer_function(m: MaterialModel, s) -> complex:
     """Stress-transform over strain-transform at the Laplace symbol s.
 
     Principal-branch powers; the negative real axis is refused because
-    s**alpha is ambiguous there under our convention.
+    s**alpha is ambiguous there under our convention. The same numpy
+    evaluation as complex_modulus, so the two agree bit for bit.
     """
     s = complex(s)
     if s == 0:
         raise DomainError("transfer function is not defined at s = 0")
     if s.imag == 0.0 and s.real < 0.0:
         raise BranchError(f"s = {s} lies on the negative real axis")
-    return _ratio(*_operator_terms(m), s)
+    lhs, rhs = _operator_terms(m)
+    with np.errstate(all="ignore"):  # an overflow gives inf, as Python's complex arithmetic does
+        return complex(_ratio(lhs, rhs, np.array([s]))[0])
 
 
 def _time_grid(t_grid) -> np.ndarray:
@@ -445,21 +453,23 @@ def simulate_stress(m: MaterialModel, strain: SignalSeries) -> SignalSeries:
     lhs, rhs_terms = _operator_terms(m)
     n = len(strain)
     dt = strain.dt
-    rhs = np.zeros(n)
-    for coef, order in rhs_terms:
-        rhs += coef * gl_derivative(strain, order).values
-    if not lhs:
-        return SignalSeries(0.0, dt, rhs)
     scaled = [(coef * dt**(-order), order) for coef, order in lhs]
     pivot = 1.0 + sum(c for c, _ in scaled)
     if not (math.isfinite(pivot) and pivot > 0.0):
         raise StabilityError(f"implicit update coefficient {pivot} is unusable")
-    # sigma + sum c D^nu sigma as one weight column: W = delta_0 + sum c w^(nu)
-    col = np.zeros(n)
-    col[0] = 1.0
-    for c, order in scaled:
-        col += c * gl_weights(order, n)
-    return SignalSeries(0.0, dt, _toeplitz_solve(col, rhs))
+    with np.errstate(all="ignore"):  # a stress out of double range is refused below
+        stress = np.zeros(n)
+        for coef, order in rhs_terms:
+            stress += coef * gl_derivative(strain, order).values
+        if lhs:
+            # sigma + sum c D^nu sigma as one weight column: W = delta_0 + sum c w^(nu)
+            col = np.zeros(n)
+            col[0] = 1.0
+            for c, order in scaled:
+                col += c * gl_weights(order, n)
+            stress = _toeplitz_solve(col, stress)
+    _in_range(stress, dt * np.arange(n), "simulated stress")
+    return SignalSeries(0.0, dt, stress)
 
 
 # quadrature refuses kernels more singular than this on coarse grids

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DivisionError, DomainError, _positive
+from .errors import DegenerateDataError, DivisionError, DomainError, _in_range, _positive
 from .fracops import OrderLike, SignalSeries, _grid_break, gl_derivative
 
 
@@ -128,7 +128,10 @@ def quasi_property(S: float, strain: SignalSeries, mu: OrderLike) -> SignalSerie
             f"(t = {strain.t0 + bad * strain.dt:g})")
     if tail.size < 2:
         raise DomainError("too few samples beyond the startup region")
-    return SignalSeries(strain.t0 + start * strain.dt, strain.dt, S / tail)
+    with np.errstate(all="ignore"):  # a quotient out of double range is refused below
+        q = S / tail
+    _in_range(q, strain.t0 + strain.dt * np.arange(start, vals.size), "quasi-property")
+    return SignalSeries(strain.t0 + start * strain.dt, strain.dt, q)
 
 
 def nutting_general_series(S: float, beta_exp: float, alpha_prime: float,

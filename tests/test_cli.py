@@ -529,6 +529,23 @@ def test_respond_refuses_non_finite_values(capsys, argv, fmt):
     assert out == "" and err.startswith("E_OVERFLOW: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, scale", [
+    (["quasi", "--stress", "1e308", "--mu", "0.1"], 1e-300),
+    (["simulate", "--model", "fmaxwell", "--E", "1e308", "--lambda", "1e10",
+      "--alpha", "0.5", "--beta", "0.9"], 1.0),
+], ids=["quasi", "simulate"])
+def test_signal_out_of_double_range_is_one_overflow_line(tmp_path, argv, scale):
+    # a 0..4 ramp, its samples near 1e-300 for quasi; no numpy warning
+    # may escape before the refusal
+    rows = "".join(f"{k * 0.1!r},{scale * k * 0.1!r}\n" for k in range(41))
+    src = write(tmp_path / "in.csv", "t,value\n" + rows)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "frheo",
+                           *argv, "--input", src], capture_output=True, text=True)
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("E_OVERFLOW: "), done.stderr
+
+
 @pytest.mark.parametrize("where", ["missing directory", "a directory"])
 def test_unwritable_output_is_one_io_line(tmp_path, capsys, where):
     target = str(tmp_path / "no" / "x.csv" if where == "missing directory" else tmp_path)

@@ -111,3 +111,15 @@ def test_imaginary_residue_rejected():
     # a transform that is not real-symmetric leaves a genuine imaginary part
     with pytest.raises(ConvergenceError):
         invert(lambda s: 1.0 / (s + 1j), 1.0)
+
+
+@pytest.mark.parametrize("eps, certified", [(1e-6, False), (1e-13, True)])
+def test_antisymmetric_part_is_the_residue(eps, certified):
+    # eps i / (s + 2) is all antisymmetric part: it leaves the value alone
+    # and inverts to an imaginary residue eps e^-2, 3.7e-7 of e^-1 at eps 1e-6
+    transform = lambda s: 1.0 / (s + 1.0) + eps * 1j / (s + 2.0)
+    if not certified:
+        with pytest.raises(ConvergenceError, match="imaginary residue"):
+            invert(transform, 1.0, 1e-8)
+    else:
+        assert invert(transform, 1.0, 1e-8) == pytest.approx(math.exp(-1.0), rel=1e-8)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from frheo import laplace
+from frheo import laplace, models
 from frheo.errors import (BranchError, ConvergenceError, DomainError, GridError,
                           QuadratureError, StabilityError)
 from frheo.fracops import SignalSeries, gl_derivative, gl_weights
@@ -115,6 +115,30 @@ def test_transfer_hand_formula(name, s):
     m, hand = HAND_TRANSFER[name]
     want = hand(m, complex(s))
     assert abs(transfer_function(m, s) - want) <= 1e-14 * abs(want)
+
+
+# exact orders 0, 1/2 and 1, which _ratio forms as s**nu, not from the logarithm
+EXACT_ORDER_MODELS = {
+    "ckelvin": ClassicalKelvin(2.5, 1.3),
+    "cmaxwell": ClassicalMaxwell(1.5, 0.8),
+    "springpot": SpringPot(1.3, 0.5),
+    "poynting": PoyntingThomson(2.0, 3.0, 1.5, 0.5, 1.0, 0.5),  # gamma = alpha, beta = 1
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ORDER_MODELS))
+def test_exact_orders_take_one_power_path(name):
+    m = EXACT_ORDER_MODELS[name]
+    w = np.geomspace(1e-2, 1e2, 9)
+    want = [transfer_function(m, 1j * x) for x in w]
+    assert complex_modulus(m, w).values.tolist() == want
+    # times up to about one relaxation time: further down an exponential tail
+    # the contour's rounding is no longer small against the value
+    t = np.geomspace(0.1, 1.0, 5)
+    for response, transform in ((relaxation_modulus, lambda s: transfer_function(m, s) / s),
+                                (creep_compliance, lambda s: 1 / (s * transfer_function(m, s)))):
+        ref = [invert(transform, float(tk)) for tk in t]
+        assert_allclose(response(m, t).values, ref, rtol=1e-13, atol=0.0)
 
 
 def test_transfer_branch_cut_and_origin():
@@ -243,11 +267,32 @@ def test_poynting_grid_matches_pointwise_inversion():
         assert_allclose(response(m, t).values, want, rtol=1e-13, atol=0.0)
 
 
+def test_inverted_grid_takes_each_upper_half_node_once(monkeypatch):
+    # the models' transforms are real-symmetric, so the conjugate nodes
+    # would only repeat the upper half's values
+    seen = []
+
+    def counting(values, t, tol):
+        def wrapped(s):
+            seen.append(s)
+            return values(s)
+        return laplace._bromwich(wrapped, t, tol)
+
+    monkeypatch.setattr(models, "_bromwich", counting)
+    m = PoyntingThomson(2.0, 3.0, 1.5, 0.6, 0.8, 0.2)
+    t = np.geomspace(1e-2, 1e2, 171)
+    for response in (relaxation_modulus, creep_compliance):
+        seen.clear()
+        response(m, t)
+        assert sum(s.size for s in seen) == 171 * laplace._NODES.size == 171 * 90
+        assert all(np.all(s.imag >= 0.0) for s in seen)
+
+
 def test_inverted_grid_names_its_first_uncertified_time():
-    # one poisoned time in the second block and one in the third: the
-    # error names the first in grid order, and nothing is returned
+    # poisoned times in two blocks after the first: the error names the
+    # first in grid order, and nothing is returned
     t = np.geomspace(0.1, 10.0, 300)
-    bad_nodes = laplace._NODES[0] / t[[150, 250]]  # each row's first node
+    bad_nodes = laplace._NODES[0] / t[[150, 280]]  # each row's first node
 
     def transform(s):
         v = 1.0 / (s + 1.0)
@@ -260,7 +305,7 @@ def test_inverted_grid_names_its_first_uncertified_time():
 
 
 def test_inverted_grid_memory_stays_one_block():
-    # a whole-grid (n_t x 180) node array would take 58 MB at 20 000 times
+    # a whole-grid (n_t x 90) node array would take 29 MB at 20 000 times
     t = np.geomspace(1e-2, 1e2, 20_000)
     m = PoyntingThomson(2.0, 3.0, 1.5, 0.6, 0.8, 0.2)
     tracemalloc.start()
