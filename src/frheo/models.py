@@ -453,14 +453,22 @@ def simulate_stress(m: MaterialModel, strain: SignalSeries) -> SignalSeries:
     lhs, rhs_terms = _operator_terms(m)
     n = len(strain)
     dt = strain.dt
-    scaled = [(coef * dt**(-order), order) for coef, order in lhs]
+    scaled = [(_scaled(coef, dt, order), order) for coef, order in lhs]
+    for c, order in scaled:
+        if not math.isfinite(c):
+            raise StabilityError(f"stress-side coefficient of D^{order:g} over grid step "
+                                 f"{dt:g} is {c}: the implicit update is unusable")
+    for c, order in rhs_terms:
+        if not math.isfinite(c):
+            raise OverflowError(f"strain-side coefficient of D^{order:g} exceeds double range")
     pivot = 1.0 + sum(c for c, _ in scaled)
     if not (math.isfinite(pivot) and pivot > 0.0):
         raise StabilityError(f"implicit update coefficient {pivot} is unusable")
-    with np.errstate(all="ignore"):  # a stress out of double range is refused below
+    with np.errstate(all="ignore"):  # sums out of double range are refused below
         stress = np.zeros(n)
         for coef, order in rhs_terms:
             stress += coef * gl_derivative(strain, order).values
+        _in_range(stress, dt * np.arange(n), "strain-side sum")
         if lhs:
             # sigma + sum c D^nu sigma as one weight column: W = delta_0 + sum c w^(nu)
             col = np.zeros(n)
@@ -470,6 +478,14 @@ def simulate_stress(m: MaterialModel, strain: SignalSeries) -> SignalSeries:
             stress = _toeplitz_solve(col, stress)
     _in_range(stress, dt * np.arange(n), "simulated stress")
     return SignalSeries(0.0, dt, stress)
+
+
+def _scaled(coef: float, dt: float, order: float) -> float:
+    """coef * dt**-order, inf when it leaves double range."""
+    try:
+        return coef * dt**(-order)
+    except OverflowError:
+        return math.inf
 
 
 # quadrature refuses kernels more singular than this on coarse grids

@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,59 @@ def test_table_bytes_are_the_per_cell_format():
     want = "a,b\n" + "".join(f"{cli._fmt(x)},{cli._fmt(y)}\n" for x, y in zip(*cols))
     assert cli._table(("a", "b"), cols) == want
     assert cli._table(("t", "value"), ([], [])) == "t,value\n"
+
+
+def _per_cell_table(names, cols):
+    return ",".join(names) + "\n" + "".join(
+        ",".join(cli._fmt(x) for x in row) + "\n" for row in zip(*cols))
+
+
+def _hard_cells(seed=14):
+    """About 200k doubles where a 15-digit writer can go wrong."""
+    rng = np.random.default_rng(seed)
+    sign = lambda k: rng.choice([-1.0, 1.0], k)  # noqa: E731
+    tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    edges = np.array([1e-5, 1e-4, 1e14, 1e15, 999999999999999.5, 999999999999999.4,
+                      2.0**53, 2.0**53 - 1])
+    return np.concatenate([
+        sign(60000) * np.ldexp(1.0 + rng.random(60000), rng.integers(-1074, 1024, 60000)),
+        sign(10000) * rng.integers(1, 2**52, 10000) * 5e-324,  # subnormals
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), -edges,
+        sign(40000) * rng.integers(0, 2**53, 40000, endpoint=True),
+        sign(60000) * rng.integers(1, 2**40, 60000) / 2.0**rng.integers(0, 64, 60000),
+        sign(20000) * rng.standard_normal(20000) * 10.0**rng.integers(-6, 17, 20000),
+        [0.0, -0.0, math.nan, math.inf, -math.inf] * 20,
+    ])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bulk_table_is_the_per_cell_format(m):
+    cells = _hard_cells()
+    cells = cells[np.random.default_rng(m).permutation(cells.size)][:cells.size // m * m]
+    cols = tuple(cells.reshape(-1, m).T)
+    names = tuple("abc"[:m])
+    assert cli._table(names, cols) == _per_cell_table(names, cols)
+
+
+@pytest.mark.parametrize("m, rows", [
+    (1, cli._BULK_MIN_CELLS - 1), (1, cli._BULK_MIN_CELLS), (1, cli._BULK_MIN_CELLS + 1),
+    (2, cli._CHUNK_CELLS // 2 - 1), (2, cli._CHUNK_CELLS // 2), (2, cli._CHUNK_CELLS // 2 + 1),
+    (3, 2 * (cli._CHUNK_CELLS // 3) - 1), (3, 2 * (cli._CHUNK_CELLS // 3) + 1),
+])
+def test_table_bytes_at_the_cutover_and_chunk_edges(m, rows):
+    cells = _hard_cells(seed=rows)
+    cols = tuple(np.random.default_rng(rows).choice(cells, (m, rows)))
+    names = tuple("xyz"[:m])
+    assert cli._table(names, cols) == _per_cell_table(names, cols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(xs=st.lists(st.floats(), min_size=1, max_size=80), extra=st.integers(0, 300))
+def test_bulk_table_property(xs, extra):
+    # any floats, repeated to a table above the cutover
+    cells = np.resize(np.array(xs), cli._BULK_MIN_CELLS + extra)
+    assert cli._table(("v",), (cells,)) == _per_cell_table(("v",), (cells,))
 
 
 def test_every_model_has_exactly_one_cli_name():
@@ -439,6 +493,15 @@ def test_quasi_json_matches_csv(tmp_path, capsys):
     assert doc["params"] == {"stress": 3.0, "mu": 0.4, "input": path}
 
 
+def test_large_simulate_json_matches_csv(tmp_path, capsys):
+    # 16000 rows: both formats take the bulk writer's cells
+    rows = "".join(f"{k * 1e-3!r},{k * 2e-3!r}\n" for k in range(16000))
+    path = write(tmp_path / "long.csv", "t,value\n" + rows)
+    doc = _json_matches_csv(["simulate", "--model", "springpot", "--kappa", "1.5",
+                             "--alpha", "0.4", "--input", path], capsys, "simulate")
+    assert len(doc["result"]["value"]) == 16000
+
+
 def test_fit_json_end_to_end(tmp_path, capsys):
     path = creep_csv(tmp_path)
     assert run(["fit", "nutting", "--input", path, "--format", "json"]) == 0
@@ -544,6 +607,24 @@ def test_signal_out_of_double_range_is_one_overflow_line(tmp_path, argv, scale):
     assert done.returncode == 1 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("E_OVERFLOW: "), done.stderr
+
+
+@pytest.mark.parametrize("argv, dt, cause", [
+    (["--model", "fmaxwell", "--E", "1e308", "--lambda", "1e10", "--alpha", "0.5",
+      "--beta", "0.9"], 1.0, "E_OVERFLOW: strain-side coefficient of D^0.9 exceeds double range"),
+    (["--model", "maxwell3", "--a1", "1e300", "--b0", "1e308", "--alpha", "0.5"], 1.0,
+     "E_OVERFLOW: strain-side sum at 2 exceeds double range"),
+    (["--model", "maxwell3", "--a1", "1e308", "--b0", "1", "--alpha", "1"], 0.5,
+     "E_STABILITY: stress-side coefficient of D^1 over grid step 0.5 is inf: "
+     "the implicit update is unusable"),
+], ids=["fmaxwell coefficient", "maxwell3 strain sum", "maxwell3 stress coefficient"])
+def test_simulate_refusal_names_its_cause(tmp_path, argv, dt, cause):
+    # a five-row ramp from 0: the refusal names what left double range, not t = 0
+    rows = "".join(f"{k * dt!r},{k * dt!r}\n" for k in range(5))
+    src = write(tmp_path / "ramp.csv", "t,value\n" + rows)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "frheo",
+                           "simulate", *argv, "--input", src], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", cause + "\n")
 
 
 @pytest.mark.parametrize("where", ["missing directory", "a directory"])

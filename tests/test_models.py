@@ -503,6 +503,12 @@ def test_simulate_refuses_unusable_pivot():
         simulate_stress(ClassicalMaxwell(1e-300, 1e308), SignalSeries(0.0, 1e-10, [0.0, 1.0]))
 
 
+def test_simulate_names_a_coefficient_that_leaves_double_range():
+    # tau * dt**-1 overflows in Python's pow itself on a subnormal step
+    with pytest.raises(StabilityError, match=r"coefficient of D\^1 over grid step 1e-310 is inf"):
+        simulate_stress(ClassicalMaxwell(1.0, 1.0), SignalSeries(0.0, 1e-310, [0.0, 1.0]))
+
+
 def strain_history(shape, n):
     """(dt, samples) of a seeded strain history on [0, 5], zero at t = 0."""
     t = np.linspace(0.0, 5.0, n)
