@@ -59,6 +59,9 @@ class _UsageError(Exception):
     """Bad flags or parameter combinations; maps to exit code 2."""
 
 
+_RECORD_COLUMNS = ("t", "stress", "strain")
+
+
 def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
@@ -67,13 +70,15 @@ def _flag(field: str) -> str:
     return "--lambda" if field == "lam" else f"--{field}"
 
 
-def _bulk_signal(data: bytes):
-    """The signal of a plain t,value file's bytes, parsed in bulk, or None.
+def _bulk_ingest(data: bytes):
+    """The signal or creep records of a plain file's bytes, parsed in bulk,
+    or None.
 
     Plain means UTF-8 without quotes or carriage returns, the header on
-    the first line, every needed cell a number and a uniform grid; the
-    values are then those of the row scan in ingest_csv. Anything else
-    returns None, and the row scan names the offending line.
+    the first line and every needed cell a number; a signal's grid must be
+    uniform, and every cell of a creep record a positive real. The values
+    are then those of the row scan in ingest_csv. Anything else returns
+    None, and the row scan names the offending line.
     """
     end = data.find(b"\n")
     if (end < 0 or b'"' in data or b"\r" in data
@@ -84,14 +89,23 @@ def _bulk_signal(data: bytes):
     except UnicodeDecodeError:
         return None
     col = {c.strip().lower(): i for i, c in enumerate(header.split(","))}
-    if "t" not in col or "value" not in col or "stress" in col and "strain" in col:
+    if all(c in col for c in _RECORD_COLUMNS):
+        names = _RECORD_COLUMNS
+    elif "t" in col and "value" in col:
+        names = ("t", "value")
+    else:
         return None
     try:
-        t, v = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1,
-                          usecols=(col["t"], col["value"]), ndmin=2, unpack=True,
-                          encoding="utf-8")
+        cells = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1,
+                           usecols=[col[c] for c in names], ndmin=2, unpack=True,
+                           encoding="utf-8")
     except ValueError:  # UnicodeDecodeError included
         return None
+    if names == _RECORD_COLUMNS:
+        if not ((cells > 0.0) & (cells < np.inf)).all():
+            return None
+        return [CreepRecord(*row) for row in cells.T.tolist()]
+    t, v = cells
     if t.size < 2 or _grid_break(t) is not None:
         return None
     return SignalSeries(t[0], t[1] - t[0], v)
@@ -109,9 +123,9 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
         data = p.read_bytes()
     except OSError as e:
         raise FormatError(f"{path}: cannot be read ({e.strerror})") from None
-    series = _bulk_signal(data)
-    if series is not None:
-        return series
+    bulk = _bulk_ingest(data)
+    if bulk is not None:
+        return bulk
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
@@ -138,10 +152,10 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
                 f"{path} line {line}: non-numeric {name} value {text!r}") from None
         return v
 
-    if "t" in col and "stress" in col and "strain" in col:
+    if all(n in col for n in _RECORD_COLUMNS):
         records = []
         for line, row in body:
-            vals = {n: cell(line, row, n) for n in ("t", "stress", "strain")}
+            vals = {n: cell(line, row, n) for n in _RECORD_COLUMNS}
             for n, v in vals.items():
                 if not 0.0 < v < np.inf:
                     raise FormatError(

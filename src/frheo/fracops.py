@@ -119,9 +119,10 @@ def gl_weights(nu: OrderLike, n: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(1.0 - (order + 1.0) / j)))
 
 
-def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First len(b) samples of the convolution a * b, for an a at least
-    as long as b.
+def _causal_convolve(a: np.ndarray, b: np.ndarray, lo: int = 0,
+                     n: Optional[int] = None) -> np.ndarray:
+    """Samples lo..n-1 of the convolution a * b, with b taken as zero past
+    its end; n defaults to len(b), and a must hold at least n samples.
 
     The leading _DIRECT samples of a are summed directly, so each output
     gets them as a plain direct sum, within a few
@@ -132,19 +133,40 @@ def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Anal. 17(3), 1986), that stays below the componentwise bound for a b
     that rises from rest. One FFT over all of a would instead swamp the
     small early outputs of a ramp or a creep curve.
+
+    Only what reaches the outputs asked for is summed. Trailing zeros of
+    a and b are dropped, so a kernel of support s <= _DIRECT costs
+    O(s * n) and needs no FFT: the Grunwald-Letnikov weights of orders 0
+    and 1 and the classical models' Toeplitz columns cost O(n). The
+    direct part reads b from the first sample that an output from lo on
+    needs, but from at least len(a[:_DIRECT]) samples before b's end, so
+    numpy's correlate keeps its operand order and each output from lo on
+    is the very dot product, and the FFT part the very transform, of the
+    call with b zero-padded to n: asking for an output range changes no
+    bit. Dropping a's zeros does shorten the dot products; where two or
+    more inexact products meet in one output they may round in another
+    order, within the same bound. Weights of orders 0 and 1 multiply
+    exactly, and each output the Toeplitz solve keeps from a two-term
+    column holds one product.
     """
-    n = b.size
-    end = n - int(np.argmax(b[::-1] != 0.0))  # b's trailing zeros add nothing
-    out = np.concatenate((np.convolve(b[:end], a[:_DIRECT]), np.zeros(n)))[:n]
+    n = b.size if n is None else n
+    end = b.size - int(np.argmax(b[::-1] != 0.0))
+    support = a.size - int(np.argmax(a[::-1] != 0.0))
+    direct = a[:min(support, _DIRECT)]
+    skip = max(0, min(lo + 1, end) - direct.size)  # samples of b no kept output reads
+    out = np.zeros(n - lo)
+    near = np.convolve(b[skip:end], direct)[lo - skip:n - skip]
+    out[:near.size] = near
     # b's leading zeros reach no output through the tail; skipping them
     # keeps the outputs before a step exact zeros
     start = int(np.argmax(b != 0.0))
     rest = n - _DIRECT - start
-    if rest > 0:
+    if rest > 0 and support > _DIRECT:
         size = 1 << (2 * rest - 2).bit_length()
         spec = (np.fft.rfft(a[_DIRECT:_DIRECT + rest], size)
                 * np.fft.rfft(b[start:start + rest], size))
-        out[n - rest:] += np.fft.irfft(spec, size)[:rest]
+        keep = min(rest, n - lo)
+        out[n - lo - keep:] += np.fft.irfft(spec, size)[rest - keep:rest]
     return out
 
 
@@ -168,7 +190,8 @@ def gl_derivative(s: SignalSeries, nu: OrderLike) -> SignalSeries:
     cost O(n log n), and the bound holds for signals that rise from rest
     (ramps, creep curves, sines and steps from zero; checked to 16000
     samples); elsewhere the error is that bound plus a normwise
-    eps * |w| * |values| spread over the samples.
+    eps * |w| * |values| spread over the samples. Orders 0 and 1, whose
+    weights end after one and two samples, are plain O(n) direct sums.
     """
     order = _order(nu)
     m = len(s)

@@ -428,9 +428,7 @@ def _toeplitz_solve(col: np.ndarray, y: np.ndarray) -> np.ndarray:
             return
         mid = lo + size * (-(-n // size) // 2)
         solve(lo, mid)
-        head = np.zeros(n)
-        head[:mid - lo] = x[lo:mid]
-        x[mid:hi] -= _causal_convolve(col[:n], head)[mid - lo:]
+        x[mid:hi] -= _causal_convolve(col[:n], x[lo:mid], mid - lo, n)
         solve(mid, hi)
 
     solve(0, y.size)

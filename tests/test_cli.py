@@ -315,13 +315,13 @@ def ingest_outcome(path):
 
 
 def row_scan_outcome(path):
-    with mock.patch.object(cli, "_bulk_signal", lambda p: None):
+    with mock.patch.object(cli, "_bulk_ingest", lambda p: None):
         return ingest_outcome(path)
 
 
 def test_ingest_plain_signal_takes_the_bulk_path(tmp_path):
     path = ramp_csv(tmp_path, dt=0.001)
-    series = cli._bulk_signal(Path(path).read_bytes())
+    series = cli._bulk_ingest(Path(path).read_bytes())
     assert series is not None and len(series) == 1001
     assert ingest_outcome(path) == row_scan_outcome(path)
 
@@ -380,6 +380,46 @@ def test_bulk_ingest_matches_the_row_scan(tmp_path, text):
     path.write_bytes(text.encode("utf-8"))
     assert ingest_outcome(str(path)) == row_scan_outcome(str(path))
 
+
+
+def creep_file(rng, rows):
+    """Text of a seeded plain t,stress,strain file: columns in any order and
+    case, beside a note column, in one of the number styles people write."""
+    t = np.sort(rng.uniform(0.01, 1e3, rows))
+    stress = rng.choice([0.5, 1.0, 2.5, 4.0], rows)
+    strain = stress**1.2 * t**0.35 / rng.uniform(1.0, 10.0) * rng.lognormal(0.0, 0.01, rows)
+    style = str(rng.choice(["{!r}", "{:.15g}", "{:.6e}", " {:.9f} "]))
+    names = [str(n) for n in rng.permutation(["t", "Stress", " STRAIN ", "note"])]
+    cols = {"t": t.tolist(), "stress": stress.tolist(), "strain": strain.tolist()}
+    lines = [",".join(names)] + [
+        ",".join("x" if n == "note" else style.format(cols[n.strip().lower()][k])
+                 for n in names) for k in range(rows)]
+    bom = "\ufeff" if rng.random() < 0.5 else ""
+    return bom + "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bulk_creep_ingest_matches_the_row_scan(tmp_path, seed):
+    rng = np.random.default_rng([15, seed])
+    path = write(tmp_path / "creep.csv", creep_file(rng, int(rng.integers(1, 2000))))
+    assert isinstance(cli._bulk_ingest(Path(path).read_bytes()), list)
+    assert ingest_outcome(path) == row_scan_outcome(path)
+
+
+@pytest.mark.parametrize("data,message", [
+    (b't,stress,strain\n1,1,0.5\n2,"1,5",0.7\n', "line 3: non-numeric stress value '1,5'"),
+    (b"t,stress,strain\r\n1,1,0.5\r\n2,-1,0.7\r\n",
+     "line 3: stress must be a positive real, got -1"),
+    (b"t,stress,strain\n1,1,0.5\n2,abc,0.7\n3,1,0.9\n", "line 3: non-numeric stress value 'abc'"),
+    (b"t,stress,strain\n1,1,0.5\n2,1,0\n", "line 3: strain must be a positive real, got 0"),
+    (b"t,stress,strain\n1,1,0.5\n2,1\n", "line 3: missing strain cell"),
+], ids=["quoted cell", "CR line ends", "non-numeric cell", "non-positive cell", "missing cell"])
+def test_malformed_creep_file_is_one_format_line(tmp_path, capsys, data, message):
+    path = tmp_path / "creep.csv"
+    path.write_bytes(data)
+    assert run(["fit", "nutting", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"E_FORMAT: {path} {message}\n"
 
 # -------------------------------------------------------------- round trips
 

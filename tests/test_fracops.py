@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from frheo.errors import DomainError, GridError
-from frheo.fracops import (FractionalOrder, SignalSeries, caputo_derivative,
-                           frac_deriv_power, gl_derivative, gl_weights)
+from frheo.fracops import (FractionalOrder, SignalSeries, _causal_convolve,
+                           caputo_derivative, frac_deriv_power, gl_derivative, gl_weights)
 
 
 EPS = np.finfo(float).eps
@@ -187,6 +187,115 @@ def test_gl_linearity_across_the_direct_block(n, nu, a, b, seed):
     bound = np.convolve(np.abs(a * x) + np.abs(b * y), w)[:n]
     assert np.all(np.abs(mix - parts) <= 16.0 * EPS * bound)
 
+
+
+# ------------------------------------------------------- convolution helper
+
+def _padded_convolve(a, b, lo, n):
+    """Samples lo..n-1 of a * b as they were formed before the helper took
+    an output range or dropped a's zeros: b zero-padded to n, every output
+    summed with all of a's leading 1024 samples, the head sliced off."""
+    head = np.zeros(n)
+    head[:b.size] = b
+    end = n - int(np.argmax(head[::-1] != 0.0))
+    out = np.concatenate((np.convolve(head[:end], a[:1024]), np.zeros(n)))[:n]
+    start = int(np.argmax(head != 0.0))
+    rest = n - 1024 - start
+    if rest > 0:
+        size = 1 << (2 * rest - 2).bit_length()
+        spec = np.fft.rfft(a[1024:1024 + rest], size) * np.fft.rfft(head[start:start + rest], size)
+        out[n - rest:] += np.fft.irfft(spec, size)[:rest]
+    return out[lo:]
+
+
+# sizes on both sides of the 1024 directly summed samples and of the
+# solve's 128-sample blocks, then seeded ones up to 5000
+CONV_SIZES = [1, 2, 3, 127, 128, 129, 1023, 1024, 1025, 1151, 1152, 1153,
+              2047, 2048, 2049, 4096, 4999, 5000]
+
+
+def _conv_cases(seed, count):
+    """(n, head length h, head) triples: heads with leading zeros, trailing
+    zeros and -0 samples among finite values of mixed magnitude."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = CONV_SIZES[k] if k < len(CONV_SIZES) else int(rng.integers(1, 5001))
+        h = int(rng.choice([1, 127, 128, 129, 1023, 1024, 1025, n // 2, n - 1,
+                            int(rng.integers(1, n + 1))]))
+        h = min(max(h, 1), n)
+        b = rng.standard_normal(h) * 10.0 ** rng.integers(-3, 4, h)
+        if k % 3 == 0:
+            b[:int(rng.integers(0, h + 1))] = 0.0
+        if k % 4 == 1:
+            b[h - int(rng.integers(0, h + 1)):] = 0.0
+        b[rng.random(h) < 0.05] = -0.0
+        yield n, h, b
+
+
+def _bits(x):
+    return x.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 0.37, 0.99])
+def test_convolution_with_weights_is_the_padded_sum_bit_for_bit(nu):
+    # both ways the callers ask: every output of a whole signal (the
+    # derivatives) and the outputs past a solved head (the Toeplitz solve),
+    # the latter for the weights and for the columns delta + c w built from them
+    rng = np.random.default_rng([15, int(100 * nu)])
+    for n, h, b in _conv_cases(int(100 * nu), 60):
+        w = gl_weights(nu, n)
+        col = float(10.0 ** rng.uniform(-3, 3)) * w
+        col[0] += 1.0
+        if h == n:
+            assert _bits(_causal_convolve(w, b)) == _bits(_padded_convolve(w, b, 0, n)), n
+        for a in (w, col):
+            got = _causal_convolve(a, b, h, n)
+            assert _bits(got) == _bits(_padded_convolve(a, b, h, n)), (n, h)
+
+
+def test_convolution_with_finite_support_is_the_padded_sum_bit_for_bit():
+    # kernels with trailing zeros, and sums that are exact in every order, so
+    # the bits show which products are summed and nothing of how they are
+    # grouped: small integers make every product and partial sum exact
+    rng = np.random.default_rng(1515)
+    for n, h, b in _conv_cases(15, 60):
+        support = int(rng.choice([1, 2, 3, 11, 12, 1023, 1024, 1025, int(rng.integers(1, n + 1))]))
+        a = rng.integers(-8, 9, n).astype(float)
+        a[min(support, n):] = 0.0
+        b = np.copysign(np.round(np.abs(b)) % 1000.0, b)  # keeps the sign of b's zeros
+        for lo, head in ((h, b), (0, np.concatenate((b, np.zeros(n - h))))):
+            got = _causal_convolve(a, head, lo, n)
+            assert _bits(got) == _bits(_padded_convolve(a, head, lo, n)), (n, h, support, lo)
+
+
+def test_convolution_with_finite_support_keeps_the_direct_sum_bound():
+    # with inexact products the shorter sums may round in another order; each
+    # output stays within a few eps * sum |a_j| |b_(i-j)| of the exact sum
+    rng = np.random.default_rng(7)
+    for n, support in [(40, 3), (1500, 17), (3000, 700), (2100, 1024)]:
+        a = rng.standard_normal(n)
+        a[support:] = 0.0
+        b = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        got = _causal_convolve(a, b)
+        ai, ashift = _scaled_ints(a)
+        bi, bshift = _scaled_ints(b)
+        for i in [*range(0, n, 37), n - 1]:
+            exact = Fraction(sum(map(operator.mul, ai[:i + 1], bi[i::-1])), 1 << (ashift + bshift))
+            bound = 4.0 * EPS * float(np.dot(np.abs(a[:i + 1]), np.abs(b[i::-1])))
+            assert abs(Fraction(got[i]) - exact) <= bound, (n, support, i)
+
+
+def test_convolution_outputs_past_a_head_are_the_whole_convolution_tail():
+    # for any kernel, asking for samples lo..n-1 gives the bits of the
+    # whole convolution's tail: the output range changes no sum
+    rng = np.random.default_rng(3)
+    for n, h, b in _conv_cases(3, 40):
+        a = rng.standard_normal(n) * np.linspace(1.0, 1e-3, n)
+        padded = np.concatenate((b, np.zeros(n - h)))
+        whole = _causal_convolve(a, padded)
+        lo = int(rng.integers(0, n + 1))
+        assert _bits(_causal_convolve(a, padded, lo)) == _bits(whole[lo:]), (n, lo)
+        assert _bits(_causal_convolve(a, b, h, n)) == _bits(whole[h:]), (n, h)
 
 @pytest.mark.parametrize("k,nu", [(1.0, 0.25), (1.0, 0.75), (2.0, 0.5)])
 def test_gl_convergence_order_spot_check(k, nu):

@@ -551,6 +551,21 @@ def test_simulate_matches_forward_substitution(name, shape):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("shape", ["step", "ramp"])
+@pytest.mark.parametrize("name", ["cmaxwell", "ckelvin", "maxwell3"])
+def test_simulate_matches_forward_substitution_past_4096_samples(name, shape):
+    # the classical models' weights and Toeplitz column end inside the
+    # directly summed block and skip every FFT; maxwell3's fractional column
+    # takes the direct sums and the FFT at every halving level past 1024
+    m = HAND_TRANSFER[name][0]
+    t = np.linspace(0.0, 5.0, 4500)
+    v = np.where(t >= 1.0, 0.3, 0.0) if shape == "step" else 0.2 * t
+    strain = SignalSeries(0.0, t[1], v)
+    got = simulate_stress(m, strain).values
+    want = forward_substitution(m, strain)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("name", sorted(HAND_TRANSFER))
 def test_simulate_discrete_equation_residual(name):
     # sigma + sum c D^nu sigma = sum b D^beta strain on the grid, to

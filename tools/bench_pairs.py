@@ -11,7 +11,9 @@ prints each side's median and quartiles and how many pairs B won, by the
 direction BENCHMARK.json gives, ties counting for neither side; the
 summary, every run's metrics and whether each run was correct go to
 --out as JSON, keyed by workload and trace setting and merged into what
-the file already holds.
+the file already holds. Every run that was not correct or had failed
+jobs is listed on stderr after the summary is written, and the exit
+status is then 1, so a speedup over wrong outputs cannot pass unnoticed.
 """
 
 import argparse
@@ -31,6 +33,8 @@ ap.add_argument("--seconds", type=float, default=30.0)
 ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
 ap.add_argument("--out", type=Path, required=True)
 args = ap.parse_args()
+if args.pairs < 2:
+    ap.error("--pairs must be at least 2: quartiles need two runs a side")
 spec = json.loads((args.change / "BENCHMARK.json").read_text())
 lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"] + spec["per_layer"]}
 
@@ -50,12 +54,17 @@ def quartiles(xs):
 
 
 summary = json.loads(args.out.read_text()) if args.out.is_file() else {}
+wrong = []
 for workload in args.workloads:
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
         seed = args.seeds[k % len(args.seeds)]
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            runs[side].append(run(getattr(args, side), workload, seed))
+            r = run(getattr(args, side), workload, seed)
+            runs[side].append(r)
+            if not r["correct"] or r["failed"] > 0:
+                wrong.append(f"{workload} {side} pair {k} seed {seed}: "
+                             f"correct {r['correct']}, failed {r['failed']}")
     metrics = {}
     print(f"{workload}: {args.pairs} pairs, --seconds {args.seconds:g}, --trace {args.trace}")
     for name in runs["parent"][0]["metrics"]:
@@ -71,3 +80,6 @@ for workload in args.workloads:
         "pairs": args.pairs, "seconds": args.seconds, "trace": args.trace,
         "metrics": metrics, "runs": runs}
 args.out.write_text(json.dumps(summary, indent=1) + "\n")
+for line in wrong:
+    print(f"wrong run: {line}", file=sys.stderr)
+sys.exit(1 if wrong else 0)
