@@ -18,7 +18,7 @@ from .models import (ClassicalKelvin, ClassicalMaxwell, FracKelvinVoigt,
                      creep_compliance, nutting_strain, rabotnov_stress,
                      relaxation_modulus, relaxation_time_of_stress,
                      simulate_stress, transfer_function)
-from .nutting import (CreepRecord, NuttingFit, fit_nutting,
+from .nutting import (CreepColumns, CreepRecord, NuttingFit, fit_nutting,
                       nutting_general_series, quasi_property)
 from .special import MLParams, RabotnovParams, gamma, ml_eval, rabotnov_kernel
 
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchError", "ClassicalKelvin", "ClassicalMaxwell", "ConvergenceError",
-    "CreepRecord", "DegenerateDataError", "DivisionError", "DomainError",
-    "FormatError", "FracKelvinVoigt", "FracMaxwell", "FracZener",
+    "CreepColumns", "CreepRecord", "DegenerateDataError", "DivisionError",
+    "DomainError", "FormatError", "FracKelvinVoigt", "FracMaxwell", "FracZener",
     "FractionalOrder", "FrheoError", "GridError", "MLParams",
     "MaterialResponse", "NuttingFit", "PoleError", "PoyntingThomson",
     "QuadratureError", "RabotnovParams", "SignalSeries", "SpringPot",

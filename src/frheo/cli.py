@@ -10,7 +10,7 @@ Every number is the text of "%.15g"; tables of _BULK_MIN_CELLS cells or
 more get those bytes from an exact numpy writer (see _table), JSON
 arrays the floats of the same cells.
 
-Exit codes: 0 success, 1 numerical, data or output-file failure
+Exit codes: 0 success, 1 numerical, data, memory or output-file failure
 (one-line `E_CODE: message` on stderr), 2 usage error.
 """
 
@@ -27,14 +27,15 @@ from pathlib import Path
 from typing import List, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, FrheoError
+from .errors import DomainError, FormatError, FrheoError
 from .fracops import SignalSeries, _grid_break
 from .models import (ClassicalKelvin, ClassicalMaxwell, FracKelvinVoigt,
                      FracMaxwell, FracZener, PoyntingThomson, SpringPot,
                      ThreeParamMaxwell, complex_modulus, creep_compliance,
                      relaxation_modulus, simulate_stress)
-from .nutting import CreepRecord, fit_nutting, quasi_property
+from .nutting import CreepColumns, fit_nutting, quasi_property
 from .special import MLParams, ml_eval
 
 _MODEL_SPECS = {
@@ -71,47 +72,72 @@ def _flag(field: str) -> str:
 
 
 def _bulk_ingest(data: bytes):
-    """The signal or creep records of a plain file's bytes, parsed in bulk,
+    """The signal or creep columns of a plain file's bytes, parsed in bulk,
     or None.
 
     Plain means UTF-8 without quotes or carriage returns, the header on
-    the first line and every needed cell a number; a signal's grid must be
-    uniform, and every cell of a creep record a positive real. The values
-    are then those of the row scan in ingest_csv. Anything else returns
-    None, and the row scan names the offending line.
+    the first line, every row with the header's cell count and every needed
+    cell a number; a signal's grid must be uniform, and every cell of a
+    creep record a positive real. The values are then those of the row
+    scan in ingest_csv. Anything else returns None, and the row scan names
+    the offending line.
+
+    The cells are read by _read_columns, whose kernel (_decimals) gives
+    each cell the double that float() gives it, or leaves it to float().
+    Why those bits are exact: a cell [+-]digits[.digits][e[+-]ddd] of at
+    most _CELL bytes is the integer m of its digits (below 9e18, so exact
+    in int64) times 10**k. With 10**k = hi + lo from exact integer division
+    (_pow10), m = mh + ml (mh the rounded double, ml its int64 remainder,
+    exact) and Dekker's product mh*hi = p + err, m*10**k is p + t with t =
+    err + mh*lo + ml*hi, to within about 2**-84 of it (the rounding of lo,
+    which is subnormal for k near -300, dominates). r = p + t rounded, and
+    rem = t - (r - p) is exactly p + t - r. So r is the double nearest
+    m*10**k, which float() returns, when |rem| stays 2**-79 of r's binade
+    below half an ulp (half the smaller ulp below a power of two) and
+    1e-280 < r < 1e280; and also, ties to even included, when ml = lo = 0,
+    where p + err is m*10**k itself. A zero is exact and keeps its sign.
+    Other spellings, longer cells, digit strings of 9e18 or more (the
+    point read as a 0), values next to a tie or out of that range take
+    float() one by one; a file with a cell float() rejects returns None.
+
+    np.loadtxt, which this replaces, converts cell by cell, as a split of
+    the text with float() per cell does (at about 0.8 of loadtxt's time).
+    On a 2-core x86-64 virtual machine (CPython 3.11, numpy 2.4)
+    ingest_csv on the 40 repr-written input files of a march pass, 15 to
+    16 000 rows each, took 0.56 to 0.64 of its time with loadtxt (medians
+    of 10 alternating runs, two seeds' files, 10 of 10 wins), with no cell
+    left to float().
     """
     end = data.find(b"\n")
-    if (end < 0 or b'"' in data or b"\r" in data
-            or data.count(b"\n", end) == len(data) - end):  # no rows
+    if end < 0 or b'"' in data or b"\r" in data:
         return None
     try:
         header = data[:end].decode("utf-8-sig")
     except UnicodeDecodeError:
         return None
-    col = {c.strip().lower(): i for i, c in enumerate(header.split(","))}
+    heads = header.split(",")
+    col = {c.strip().lower(): i for i, c in enumerate(heads)}
     if all(c in col for c in _RECORD_COLUMNS):
         names = _RECORD_COLUMNS
     elif "t" in col and "value" in col:
         names = ("t", "value")
     else:
         return None
-    try:
-        cells = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1,
-                           usecols=[col[c] for c in names], ndmin=2, unpack=True,
-                           encoding="utf-8")
-    except ValueError:  # UnicodeDecodeError included
+    cells = _read_columns(data, end + 1, len(heads), [col[c] for c in names])
+    if cells is None:
         return None
     if names == _RECORD_COLUMNS:
-        if not ((cells > 0.0) & (cells < np.inf)).all():
+        try:
+            return CreepColumns(*cells)
+        except DomainError:  # a cell that is not a positive real
             return None
-        return [CreepRecord(*row) for row in cells.T.tolist()]
     t, v = cells
     if t.size < 2 or _grid_break(t) is not None:
         return None
     return SignalSeries(t[0], t[1] - t[0], v)
 
 
-def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
+def ingest_csv(path) -> Union[CreepColumns, SignalSeries]:
     """Load a UTF-8 creep-record (t,stress,strain) or signal (t,value) file,
     columns matched by name in any order and case. A signal's times must be
     finite, increasing and uniform: dt = t1 - t0 > 0, every step within
@@ -130,8 +156,12 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    raw = [(i + 1, row) for i, row in enumerate(csv.reader(io.StringIO(text, newline="")))
-           if row and any(cell.strip() for cell in row)]
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        raw = [(i + 1, row) for i, row in enumerate(rows)
+               if row and any(cell.strip() for cell in row)]
+    except csv.Error as e:  # a cell over the csv module's field limit
+        raise FormatError(f"{path} line {rows.line_num}: {e}") from None
     if not raw:
         raise FormatError(f"{path}: no header row")
     header = [c.strip().lower() for c in raw[0][1]]
@@ -155,13 +185,13 @@ def ingest_csv(path) -> Union[List[CreepRecord], SignalSeries]:
     if all(n in col for n in _RECORD_COLUMNS):
         records = []
         for line, row in body:
-            vals = {n: cell(line, row, n) for n in _RECORD_COLUMNS}
-            for n, v in vals.items():
+            vals = [cell(line, row, n) for n in _RECORD_COLUMNS]
+            for n, v in zip(_RECORD_COLUMNS, vals):
                 if not 0.0 < v < np.inf:
                     raise FormatError(
                         f"{path} line {line}: {n} must be a positive real, got {v:g}")
-            records.append(CreepRecord(**vals))
-        return records
+            records.append(vals)
+        return CreepColumns(*np.array(records).T)
     if "t" in col and "value" in col:
         t = [cell(line, row, "t") for line, row in body]
         v = [cell(line, row, "value") for line, row in body]
@@ -299,9 +329,31 @@ def _pow10(k: int):
     num, den = 10**max(k, 0), 10**max(-k, 0)
     hi = num / den
     p, q = hi.as_integer_ratio()
-    c = hi * _SPLIT
-    hh = c - (c - hi)
-    return hi, hh, hi - hh, (num * q - p * den) / (den * q)
+    return (hi, *_split(hi), (num * q - p * den) / (den * q))
+
+
+def _split(x):
+    """Veltkamp's split of a float or array: x = hi + lo exactly, each half
+    with at most 26 significant bits."""
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(a, b, bh, bl):
+    """p = fl(a*b) and err = a*b - p exactly (Dekker, Numer. Math. 18,
+    1971), for floats or arrays, with bh + bl = b split by _split; exact
+    while no product overflows or underflows."""
+    ah, al = _split(a)
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _p10_columns(k: np.ndarray):
+    """hi, hh, hl, lo of _pow10 for each entry of the integer array k."""
+    k0 = int(k.min())
+    p10 = np.array([_pow10(j) for j in range(k0, int(k.max()) + 1)]).T.copy()
+    return (t.take(k - k0) for t in p10)
 
 
 def _significands(x: np.ndarray):
@@ -313,15 +365,9 @@ def _significands(x: np.ndarray):
         bulk = (a > 1e-280) & (a < 1e280)
         a = np.where(bulk, a, 1.0)
         e = np.floor(np.log10(a)).astype(np.intp)
-        k0 = 14 - int(e.max())  # powers 10**k for k = 14 - e, from k0 up
-        p10 = np.array([_pow10(k) for k in range(k0, 15 - int(e.min()))]).T.copy()
-        hi, hh, hl, lo = (t.take(14 - k0 - e) for t in p10)
+        hi, hh, hl, lo = _p10_columns(14 - e)
         # y = a * 10**k as p + err + a*lo; Dekker's product makes err exact
-        c = a * _SPLIT
-        ah = c - (c - a)
-        al = a - ah
-        p = a * hi
-        err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+        p, err = _two_product(a, hi, hh, hl)
         r = np.rint(p)
         f = (p - r) + (err + a * lo)  # y - r, off by about 1e-16
         d = r + np.rint(f)
@@ -376,7 +422,7 @@ def _bulk_cells(x: np.ndarray, m: int) -> bytes:
     out |= tb["point"].take(lay, axis=0)
     frac = tb["frac"].take(lay, axis=0)
     below = np.flatnonzero(neg)  # "0." and its zeros: the digits sit at shift 1 - q
-    head = flat[(below * _WIDTH + _WIDTH + 3 + q[below])[:, None] + np.arange(_WIDTH)]
+    head = sliding_window_view(flat, _WIDTH)[below * _WIDTH + _WIDTH + 3 + q[below]]
     head &= frac[below]
     frac &= shifted(1)
     out |= frac
@@ -389,6 +435,186 @@ def _bulk_cells(x: np.ndarray, m: int) -> bytes:
         out[i] = 0
         out[i, :len(s)] = np.frombuffer(s, dtype=np.uint8)
     return out[out != 0].tobytes()
+
+
+# ------------------------------------------------- exact bulk decimal reader
+#
+# _read_columns copies the body into a buffer in chunks of about
+# _READ_CHUNK bytes, each cut at a line end, after _CELL pad bytes, so that
+# the kernel's temporaries stay below glibc's 128 KB mmap threshold: over
+# the 40 input files of a march pass, chunks of 64 KB took about 350
+# minor page faults a pass and 2 MB of peak memory, 128 KB chunks 11 000
+# and 4 MB in about the same time, whole files 40 000 and 15 MB in about
+# 1.5 times the time. One
+# separator scan gives the cell bounds. The kernel, _decimals, gathers the
+# last _CELL bytes of each needed cell as a row of a sliding window over
+# the buffer, read as three little-endian 64-bit words (a cell's first
+# byte lowest), and works on the eight bytes of a word at once: a
+# zero-byte test finds "e" and the point, a carry-free test flags any byte
+# that is not a digit, and three multiplications turn eight digits into
+# their integer (Lemire, Softw. Pract. Exp. 51(8), 2021). These word
+# operations replaced a lookup table of byte pairs, whose lookup, per-row
+# check and digit sums took about four times as long a chunk.
+
+_READ_CHUNK = 1 << 16
+_CELL = 24  # bytes of the widest cell the kernel reads: three words
+_U64 = np.uint64
+_BYTES_7F = _U64(0x7F7F7F7F7F7F7F7F)
+_BYTES_80 = _U64(0x8080808080808080)
+_DIGIT_0 = _U64(0x3030303030303030)
+_PAST_9 = _U64(0x4646464646464646)  # sets bit 7 of every byte above "9"
+
+
+def _zero_bytes(z):
+    # 0x80 in each zero byte of z and 0 elsewhere; no carry crosses a byte
+    return ~(((z & _BYTES_7F) + _BYTES_7F) | z | _BYTES_7F)
+
+
+def _eight_digits(w):
+    # the integer of eight digit values 0..9, the leading one in the lowest byte
+    w = w * _U64(10) + (w >> _U64(8))
+    m = _U64(0x000000FF000000FF)
+    return (((w & m) * _U64(100 + (1000000 << 32)))
+            + (((w >> _U64(16)) & m) * _U64(1 + (10000 << 32)))) >> _U64(32)
+
+
+@functools.cache
+def _read_tables():
+    """The reader's constant tables, built on its first call."""
+    c = np.arange(_CELL)
+    keep = c >= _CELL - np.arange(_CELL + 1)[:, None]  # the last mc bytes, mc = 0.._CELL
+    i = np.arange(8)
+    ecol = i >= np.maximum(3, 8 - np.arange(9)[:, None])  # the last min(5, L) of 8 bytes
+
+    def words(b):
+        return np.ascontiguousarray(b, dtype=np.uint8).view("<u8")
+
+    return dict(keep=words(keep * 255), fill=words(~keep * 48), ecol=words(ecol * 128).ravel(),
+                p10=np.array([10**j if j < 19 else 2**63 - 1 for j in range(_CELL)],
+                             dtype=np.int64))
+
+
+def _decimals(buf, win, e, L):
+    """(x, ok): x the float of cell buf[e - L:e] where ok, as float() reads
+    it; win = sliding_window_view(buf, _CELL) and e >= _CELL. See
+    _bulk_ingest for why the bits are exact."""
+    tb = _read_tables()
+    first = buf.take(e - L)
+    neg = first == 45
+    start = e - L + (neg | (first == 43))  # of the mantissa
+    w = win[e - _CELL].view("<u8")  # (n, 3): the cell's last 24 bytes
+    # an exponent: the last "e" or "E" among the cell's last five bytes
+    at_e = _zero_bytes((w[:, 2] | _U64(0x2020202020202020)) ^ _U64(0x6565656565656565))
+    at_e &= tb["ecol"].take(np.minimum(e - start, 8))
+    ok = (L >= 1) & (L <= _CELL)
+    x, k = e, 0  # the mantissa's end, the decimal exponent
+    ex = np.flatnonzero(at_e)
+    if ex.size:
+        col = (np.frexp(at_e[ex].astype(float))[1] - 1) >> 3
+        tail = w[ex, 2] >> (_U64(8) * np.minimum(col + 1, 7).astype(_U64))
+        sign = tail & _U64(255)
+        signed = (sign == 45) | (sign == 43)
+        nd = 7 - col - signed  # its digits, right-aligned in three bytes of "0"s
+        tail = np.where(signed, tail >> _U64(8), tail)
+        shift = _U64(8) * np.clip(8 - nd, 0, 7).astype(_U64)
+        tail = (tail << shift) | (_DIGIT_0 & ((_U64(1) << shift) - _U64(1)))
+        ok[ex] &= (nd >= 1) & (nd <= 3) & (((tail + _PAST_9) | (tail - _DIGIT_0)) & _BYTES_80 == 0)
+        k = np.zeros(e.size, dtype=np.int64)
+        k[ex] = np.where(sign == 45, -1, 1) * _eight_digits(tail - _DIGIT_0).view(np.int64)
+        x = e.copy()
+        x[ex] -= 8 - col
+        w = w.copy()
+        w[ex] = win[x[ex] - _CELL].view("<u8")
+    # the mantissa, right-aligned in the three words with "0"s before it
+    mc = x - start
+    ok &= (mc >= 1) & (mc <= _CELL)
+    mc = np.where(ok, mc, 0)
+    w = (w & tb["keep"].take(mc, axis=0)) | tb["fill"].take(mc, axis=0)
+    dot = _zero_bytes(w ^ _U64(0x2E2E2E2E2E2E2E2E))
+    w += dot >> _U64(6)  # the point reads as a "0"
+    digits = w - _DIGIT_0
+    bad = ((w + _PAST_9) | digits) & _BYTES_80
+    ok &= (bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0
+    count = ((dot >> _U64(7)) * _U64(0x0101010101010101)) >> _U64(56)
+    ok &= count[:, 0] + count[:, 1] + count[:, 2] <= 1
+    # the point's bit as one float, 2**(8*b - 121) at byte b of the 24: nf = 23 - b
+    at = dot.astype(float)
+    at = (at[:, 0] * 2.0**-128 + at[:, 1] * 2.0**-64) + at[:, 2]
+    has_dot = at > 0.0
+    ok &= mc > has_dot
+    nf = np.where(has_dot, 8 - (np.frexp(at)[1] >> 3), 0)
+    d = _eight_digits(digits).view(np.int64)
+    ok &= d[:, 0] < 900  # below 9e18 with the point's "0"
+    n = (d[:, 0] * 10**8 + d[:, 1]) * 10**8 + d[:, 2]
+    f = n % tb["p10"].take(nf)
+    m = np.where(has_dot, (n - f) // 10 + f, n)  # the point's "0" dropped
+    k = k - nf
+    fits = (k >= -300) & (k <= 280)
+    ok &= fits | (m == 0)
+    hi, hh, hl, lo = _p10_columns(np.where(fits & ok, k, 0))
+    mh = m.astype(float)
+    with np.errstate(all="ignore"):  # the cells not ok may hold anything
+        ml = (m - mh.astype(np.int64)).astype(float)
+        p, err = _two_product(mh, hi, hh, hl)
+        t = err + (mh * lo + ml * hi)
+        r = p + t
+        rem = t - (r - p)
+        binade = (r.view(np.int64) & 0x7FF0000000000000).view(float)
+        half = np.where((rem < 0.0) & (r == binade), 2.0**-54 - 2.0**-79, 2.0**-53 - 2.0**-79)
+        exact = (ml == 0.0) & (lo == 0.0)  # y = p + err: r is y rounded once, ties to even
+        ok &= ((np.abs(rem) < binade * half) | exact) & (r > 1e-280) & (r < 1e280) | (m == 0)
+    np.negative(r, out=r, where=neg)
+    return r, ok
+
+
+def _read_columns(data: bytes, start: int, ncols: int, need):
+    """The cells of columns need of the body data[start:], one row of ncols
+    cells a line, as a (len(need), rows) float array; None if a row has
+    another cell count, the text is not UTF-8, there are no rows or float()
+    rejects a needed cell."""
+    buf = np.zeros(_CELL + _READ_CHUNK + 1, dtype=np.uint8)
+    win = sliding_window_view(buf, _CELL)
+    out, lo = [], start
+    while lo < len(data):
+        hi = data.rfind(b"\n", lo, lo + _READ_CHUNK) + 1 or data.find(b"\n", lo) + 1 or len(data)
+        if _CELL + hi - lo + 1 > buf.size:  # one line longer than a chunk
+            buf = np.zeros(_CELL + hi - lo + 1, dtype=np.uint8)
+            win = sliding_window_view(buf, _CELL)
+        c = buf[:_CELL + hi - lo + 1]
+        c[_CELL:-1] = np.frombuffer(data, np.uint8, hi - lo, lo)
+        c[-1] = 10
+        if data[hi - 1] == 10:
+            c = c[:-1]
+        if c.max() > 127:  # UTF-8 outside the needed cells is read past
+            try:
+                data[lo:hi].decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+        sep = np.flatnonzero((c == 44) | (c == 10))
+        prev = np.empty_like(sep)
+        prev[0] = _CELL - 1
+        prev[1:] = sep[:-1]
+        kinds = c.take(sep)
+        blank = (kinds == 10) & (sep - prev == 1)  # an empty line, as the row scan skips
+        blank[1:] &= kinds[:-1] == 10
+        if blank.any():
+            sep, prev, kinds = sep[~blank], prev[~blank], kinds[~blank]
+        if (sep.size % ncols or (kinds.reshape(-1, ncols)[:, -1] != 10).any()
+                or np.count_nonzero(kinds == 10) != sep.size // ncols):
+            return None
+        lo = hi
+        if not sep.size:
+            continue
+        e = sep.reshape(-1, ncols)[:, need].T.ravel()
+        L = e - 1 - prev.reshape(-1, ncols)[:, need].T.ravel()
+        x, ok = _decimals(c, win, e, L)
+        for i in np.flatnonzero(~ok).tolist():  # the rest, one float() each
+            try:
+                x[i] = float(c[e[i] - L[i]:e[i]].tobytes())
+            except ValueError:
+                return None
+        out.append(x.reshape(len(need), -1))
+    return np.concatenate(out, axis=1) if out else None
 
 
 def _cells(values: np.ndarray) -> List[str]:
@@ -594,6 +820,9 @@ def run(argv=None) -> int:
         return 2
     except (FrheoError, OverflowError) as e:  # a bare OverflowError has no code
         sys.stderr.write(f"{getattr(e, 'code', 'E_OVERFLOW')}: {e}\n")
+        return 1
+    except MemoryError:  # numpy's refused allocations included
+        sys.stderr.write("E_MEMORY: not enough memory for this request\n")
         return 1
     if not args.output:
         sys.stdout.write(text)

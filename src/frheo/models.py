@@ -416,23 +416,25 @@ def _toeplitz_solve(col: np.ndarray, y: np.ndarray) -> np.ndarray:
     k = np.arange(size)
     lag = k[:, None] - k[None, :]
     lead = np.where(lag >= 0, col[np.maximum(lag, 0)], 0.0)
-    inv = np.linalg.inv(lead)
     x = y.copy()
-
-    def solve(lo, hi):
-        n = hi - lo
-        if n <= size:
-            rhs, a = x[lo:hi].copy(), inv[:n, :n]
-            z = a @ rhs
-            x[lo:hi] = z + a @ (rhs - lead[:n, :n] @ z)
-            return
-        mid = lo + size * (-(-n // size) // 2)
-        solve(lo, mid)
-        x[mid:hi] -= _causal_convolve(col[:n], x[lo:mid], mid - lo, n)
-        solve(mid, hi)
-
-    solve(0, y.size)
+    _solve_halves(x, col, lead, np.linalg.inv(lead), 0, y.size)
     return x
+
+
+def _solve_halves(x, col, lead, inv, lo, hi):
+    # _toeplitz_solve's recursion, solving x[lo:hi] in place; a recursive
+    # closure would be a reference cycle, and its arrays (about 0.5 MB at
+    # 16 000 samples) would then wait for the cyclic garbage collector
+    n, size = hi - lo, inv.shape[0]
+    if n <= size:
+        rhs, a = x[lo:hi].copy(), inv[:n, :n]
+        z = a @ rhs
+        x[lo:hi] = z + a @ (rhs - lead[:n, :n] @ z)
+        return
+    mid = lo + size * (-(-n // size) // 2)
+    _solve_halves(x, col, lead, inv, lo, mid)
+    x[mid:hi] -= _causal_convolve(col[:n], x[lo:mid], mid - lo, n)
+    _solve_halves(x, col, lead, inv, mid, hi)
 
 
 def simulate_stress(m: MaterialModel, strain: SignalSeries) -> SignalSeries:

@@ -31,6 +31,31 @@ class CreepRecord:
 
 
 @dataclass(frozen=True)
+class CreepColumns:
+    """Creep records as three columns of one length: times, applied
+    stresses and measured strains, every cell a positive real. len() is
+    the record count."""
+
+    t: np.ndarray
+    stress: np.ndarray
+    strain: np.ndarray
+
+    def __post_init__(self):
+        cols = {n: np.asarray(getattr(self, n), dtype=float) for n in ("t", "stress", "strain")}
+        if any(c.ndim != 1 or c.size != cols["t"].size for c in cols.values()):
+            raise DomainError("creep columns must be 1-D and of one length")
+        for name, c in cols.items():
+            bad = ~((c > 0.0) & (c < np.inf))
+            if bad.any():
+                raise DomainError(f"creep record field {name} must be a positive real, "
+                                  f"got {c[bad.argmax()]}")
+            object.__setattr__(self, name, c)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+
+@dataclass(frozen=True)
 class NuttingFit:
     """Fitted creep-law parameters plus fit diagnostics.
 
@@ -60,18 +85,20 @@ class NuttingFit:
 def fit_nutting(data) -> NuttingFit:
     """Least-squares fit of log strain = b*log stress + a*log t - log psi.
 
-    Needs at least 3 records and 2 distinct times. With fewer than 2
-    distinct stresses the exponent b is not identifiable; it is fixed
-    to 1 and the fit flagged. Raises DegenerateDataError when the
+    data is a CreepColumns or a sequence of CreepRecord or (t, stress,
+    strain) triples. Needs at least 3 records and 2 distinct times. With
+    fewer than 2 distinct stresses the exponent b is not identifiable; it
+    is fixed to 1 and the fit flagged. Raises DegenerateDataError when the
     design matrix stays rank-deficient beyond that fallback.
     """
-    records = [r if isinstance(r, CreepRecord) else CreepRecord(*r) for r in data]
-    n = len(records)
+    if not isinstance(data, CreepColumns):
+        records = [r if isinstance(r, CreepRecord) else CreepRecord(*r) for r in data]
+        data = CreepColumns(*np.array([(r.t, r.stress, r.strain) for r in records],
+                                      dtype=float).reshape(-1, 3).T)
+    n = len(data)
     if n < 3:
         raise DegenerateDataError(f"need at least 3 records, got {n}")
-    log_t = np.log([r.t for r in records])
-    log_s = np.log([r.stress for r in records])
-    y = np.log([r.strain for r in records])
+    log_t, log_s, y = np.log(data.t), np.log(data.stress), np.log(data.strain)
     beta_fixed = np.unique(log_s).size < 2
     if beta_fixed:
         design = np.column_stack([log_t, np.ones(n)])

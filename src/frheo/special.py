@@ -388,6 +388,13 @@ def _ml_point(a: float, b: float, z: float) -> float:
             lu = math.log(z) / a
             if lu > 700.0 or math.exp(lu) + (1.0 - b) * lu - math.log(a) > 709.0:
                 raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
+        elif z < -1.0 and a > 2.0:
+            # the pole pair s = |z|**(1/a) exp(+-i pi/a) lies right of the
+            # imaginary axis; its residues, 2/a Re(s**(1-b) exp(s)), grow
+            # like |z|**((1-b)/a) exp(|z|**(1/a) cos(pi/a)) 2/a
+            lu = math.log(-z) / a  # at most 355 here
+            if math.exp(lu) * math.cos(math.pi / a) + (1.0 - b) * lu - math.log(a / 2.0) > 709.0:
+                raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
         for route in (_taylor, _alg_asym) if z < 0.0 and a < 2.0 else (_taylor,):
             r = route(a, b, z)
             if r is not None and r[1] <= _tight(z):

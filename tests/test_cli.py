@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,7 @@ from frheo import cli, models
 from frheo.cli import ingest_csv, run
 from frheo.errors import DomainError, FrheoError
 from frheo.fracops import SignalSeries
-from frheo.nutting import CreepRecord, nutting_general_series
+from frheo.nutting import CreepColumns, nutting_general_series
 from frheo.special import gamma
 
 
@@ -188,15 +189,15 @@ def test_respond_json_schema(capsys):
 def test_ingest_creep_records(tmp_path):
     records = ingest_csv(creep_csv(tmp_path))
     assert len(records) == 8
-    assert isinstance(records[0], CreepRecord)
-    assert records[0].t == 0.5 and records[0].stress == 1.0
+    assert isinstance(records, CreepColumns)
+    assert records.t[0] == 0.5 and records.stress[0] == 1.0
 
 
 def test_ingest_tolerates_case_and_column_order(tmp_path):
     path = write(tmp_path / "odd.csv",
                  "Strain,T,STRESS\n0.5,1.0,2.0\n0.7,2.0,2.0\n0.9,4.0,2.0\n")
     records = ingest_csv(path)
-    assert [r.strain for r in records] == [0.5, 0.7, 0.9]
+    assert records.strain.tolist() == [0.5, 0.7, 0.9]
     path = write(tmp_path / "sig.csv", "value,t\n0.1,1\n0.2,2\n0.3,3\n")
     series = ingest_csv(path)
     assert isinstance(series, SignalSeries)
@@ -311,7 +312,7 @@ def ingest_outcome(path):
         return type(e).__name__, str(e)
     if isinstance(got, SignalSeries):
         return "signal", got.t0, got.dt, got.values.tobytes()
-    return "records", [dataclasses.astuple(r) for r in got]
+    return "records", got.t.tobytes(), got.stress.tobytes(), got.strain.tobytes()
 
 
 def row_scan_outcome(path):
@@ -323,6 +324,14 @@ def test_ingest_plain_signal_takes_the_bulk_path(tmp_path):
     path = ramp_csv(tmp_path, dt=0.001)
     series = cli._bulk_ingest(Path(path).read_bytes())
     assert series is not None and len(series) == 1001
+    assert ingest_outcome(path) == row_scan_outcome(path)
+
+
+@pytest.mark.parametrize("text", ["t,value\n0,1\n1,2\n\n", "t,value\n\n0,1\n\n\n1,2"],
+                         ids=["trailing", "leading and inner"])
+def test_bulk_ingest_skips_empty_lines_as_the_row_scan_does(tmp_path, text):
+    path = write(tmp_path / "blank.csv", text)
+    assert cli._bulk_ingest(text.encode()) is not None
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -402,7 +411,7 @@ def creep_file(rng, rows):
 def test_bulk_creep_ingest_matches_the_row_scan(tmp_path, seed):
     rng = np.random.default_rng([15, seed])
     path = write(tmp_path / "creep.csv", creep_file(rng, int(rng.integers(1, 2000))))
-    assert isinstance(cli._bulk_ingest(Path(path).read_bytes()), list)
+    assert isinstance(cli._bulk_ingest(Path(path).read_bytes()), CreepColumns)
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -413,13 +422,138 @@ def test_bulk_creep_ingest_matches_the_row_scan(tmp_path, seed):
     (b"t,stress,strain\n1,1,0.5\n2,abc,0.7\n3,1,0.9\n", "line 3: non-numeric stress value 'abc'"),
     (b"t,stress,strain\n1,1,0.5\n2,1,0\n", "line 3: strain must be a positive real, got 0"),
     (b"t,stress,strain\n1,1,0.5\n2,1\n", "line 3: missing strain cell"),
-], ids=["quoted cell", "CR line ends", "non-numeric cell", "non-positive cell", "missing cell"])
+    (b't,stress,strain\n1,1,0.5\n2,1,"' + b"x" * 140_000 + b'"\n',
+     "line 3: field larger than field limit (131072)"),
+], ids=["quoted cell", "CR line ends", "non-numeric cell", "non-positive cell", "missing cell",
+        "oversized cell"])
 def test_malformed_creep_file_is_one_format_line(tmp_path, capsys, data, message):
     path = tmp_path / "creep.csv"
     path.write_bytes(data)
     assert run(["fit", "nutting", "--input", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"E_FORMAT: {path} {message}\n"
+
+# --------------------------------------------------------- bulk decimal reader
+
+def read_cells(cells):
+    """_read_columns and float() on one column of cell texts, as bits."""
+    data = ("x\n" + "\n".join(cells) + "\n").encode()
+    got = cli._read_columns(data, 2, 1, [0])
+    want = np.array([float(c) for c in cells])
+    return got[0].view(np.int64).tolist(), want.view(np.int64).tolist()
+
+
+STYLES = (repr, "%.17g".__mod__, "%.6e".__mod__, " {:.9f} ".format)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(STYLES)), min_size=1, max_size=40))
+def test_reader_matches_float_bit_for_bit(cells):
+    got, want = read_cells([style(x) for x, style in cells])
+    assert got == want
+
+
+def _midpoints(rng, count):
+    # x + ulp/2 for doubles x in [2**53, 2**63), integers of 16 to 19
+    # digits, written plain, in e-notation and one off the tie; and in
+    # [2**50, 2**53), where the tie has one or two decimals
+    out = []
+    for v in rng.integers(2**53, 2**63, count, dtype=np.uint64).tolist():
+        lo = int(float(v))
+        mid = (lo + int(np.nextafter(float(lo), math.inf))) // 2
+        digits = str(mid)
+        out += [digits, f"{digits[0]}.{digits[1:]}e+{len(digits) - 1}", str(mid + 1),
+                f"-{mid - 1}", f"{digits}e-0"]
+    for v in rng.integers(2**50, 2**53, count).tolist():
+        mid = Decimal(v) + Decimal(2.0 ** (v.bit_length() - 54))
+        out += [str(mid), f"-{mid}"]
+    return out
+
+
+def _long_mantissas(rng, count):
+    out = []
+    for _ in range(count):
+        digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(19, 26)))))
+        point = int(rng.integers(0, len(digits) + 1))
+        exp = f"e{int(rng.integers(-330, 310))}" if rng.random() < 0.5 else ""
+        out.append(digits[:point] + "." + digits[point:] + exp)
+        out.append("0" * int(rng.integers(1, 8)) + digits[:12])  # leading zeros
+    return out
+
+
+EDGE_CELLS = ["-0.0", "-0", "0e0", "0.000", "+0", "4.9e-324", "5e-324", "2.4e-324", "2.5e-324",
+              "1e-325", "2.2250738585072011e-308", "2.2250738585072014e-308",
+              "1.7976931348623157e308", "1.7976931348623158e+308", "1e308", "9.9e307",
+              "1e-308", "1e-300", "1e-280", "1.0000000000000001e-280", "9.99999999999e279",
+              "1e280", "123.456e-3", ".5", "5.", "+.5e+2", "1E5", "007", "9007199254740993"]
+
+
+@pytest.mark.parametrize("stratum", ["midpoints", "long mantissas", "subnormals", "edges",
+                                     "big integers"])
+def test_reader_hard_strata_match_float(stratum):
+    rng = np.random.default_rng([16, len(stratum)])
+    if stratum == "midpoints":
+        cells = _midpoints(rng, 400)
+    elif stratum == "long mantissas":
+        cells = _long_mantissas(rng, 1000)
+    elif stratum == "subnormals":
+        x = rng.uniform(0.0, 2.2250738585072014e-308, 1000) * 10.0**-rng.uniform(0, 16, 1000)
+        cells = [repr(v) for v in np.where(rng.random(1000) < 0.5, -x, x).tolist()]
+    elif stratum == "edges":
+        cells = EDGE_CELLS
+    else:
+        ints = [int(v) << int(s) for v, s in zip(rng.integers(2**53, 2**63, 1000, dtype=np.uint64)
+                                                 .tolist(), rng.integers(0, 12, 1000).tolist())]
+        cells = [str(v) if k % 2 else f"-{v}.0" for k, v in enumerate(ints)]
+    got, want = read_cells(cells)
+    assert got == want
+
+
+@pytest.mark.parametrize("cell", [".", "-", "+", "e5", ".e5", "-.e5", "1e", "1e+", "1e-+5",
+                                  "+-1", "--1", "1.2.3", "1..2", "1.5e5.", "1e5e5", "1e5.5",
+                                  "1e+1.5", "12e", "0x10", "1 2", "nan1", "1f"])
+def test_reader_leaves_what_float_rejects_to_the_row_scan(cell):
+    with pytest.raises(ValueError):
+        float(cell)
+    for cells in ([cell], ["1.5", cell, "2"], ["1.5"] * 3 + [cell]):
+        assert cli._read_columns(("x\n" + "\n".join(cells)).encode(), 2, 1, [0]) is None
+
+
+def test_reader_kernel_settles_every_repr_cell(tmp_path, monkeypatch):
+    # the float() fallbacks of a seeded repr file, counted at the kernel
+    left = []
+    kernel = cli._decimals
+
+    def counted(*args):
+        x, ok = kernel(*args)
+        left.append(int(np.count_nonzero(~ok)))
+        return x, ok
+
+    rng = np.random.default_rng(16)
+    rows = 9000
+    v = rng.choice([-1.0, 1.0, 0.0], rows) * 10.0**rng.uniform(-250, 250, rows)
+    path = tmp_path / "sig.csv"
+    path.write_text("t,value\n" + "".join(f"{0.004 * k!r},{x!r}\n"
+                                          for k, x in enumerate(v.tolist())))
+    monkeypatch.setattr(cli, "_decimals", counted)
+    series = ingest_csv(str(path))
+    assert len(left) >= 2 and not any(left)  # over several chunks, none left
+    assert series.values.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "t,value,note\n0,1,{long}\n1,2,y\n2,3,z",  # a line longer than a chunk
+    "t,value\n" + "".join(f"{k},{k * 1e-3!r}\n" for k in range(9000)) + "9000,1_0\n",
+    "t,value\n" + "".join(f"{k}, {k}.5 \n" for k in range(9000)),
+    "t,value\n" + "".join(f"{k},{k}\n" for k in range(9000)) + "9000,1,2\n",
+    "t,value,note\n" + "".join(f"{k},{k},é\n" for k in range(9000)),
+], ids=["long line", "late odd cell", "spaced cells", "late extra cell", "non-ascii note"])
+def test_bulk_ingest_across_chunks_matches_the_row_scan(tmp_path, text):
+    path = tmp_path / "big.csv"
+    path.write_bytes(text.replace("{long}", "x" * 131_070).encode("utf-8"))
+    assert ingest_outcome(str(path)) == row_scan_outcome(str(path))
+
 
 # -------------------------------------------------------------- round trips
 
@@ -685,6 +819,33 @@ def test_unreadable_input_is_one_format_line(tmp_path, capsys, monkeypatch):
     assert run(["quasi", "--input", path, "--stress", "1", "--mu", "0.5"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"E_FORMAT: {path}: cannot be read (Permission denied)\n"
+
+
+# the child limits its own address space, so an oversized grid fails at once
+_LIMITED_RUN = """
+import resource, sys
+limit = 1 << 31
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from frheo.cli import main
+main()
+"""
+
+
+def test_out_of_memory_is_one_memory_line():
+    argv = ["respond", "--model", "springpot", "--kappa", "1", "--alpha", "0.5",
+            "--function", "relaxation", "--tmin", "1", "--tmax", "2",
+            "--points", "1000000000000"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "E_MEMORY: not enough memory for this request\n"
+
+
+def test_ml_negative_axis_overflow_exits_one(capsys):
+    assert run(["ml", "--alpha=2.5", "--z=-1e300"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "E_OVERFLOW: E_(2.5,1.0)(-1e+300) exceeds double range\n"
 
 
 # ----------------------------------------------------------- parser reuse

@@ -1,6 +1,7 @@
 """Constitutive model catalog: closed forms, transform inversion cross-checks,
 time stepping, and the hereditary-kernel route."""
 
+import gc
 import math
 import tracemalloc
 import warnings
@@ -487,6 +488,20 @@ def test_simulate_classical_maxwell_ramp():
     out = simulate_stress(m, ramp_series(1e-3, 1.0))
     want = 2.0 * 0.7 * (1.0 - math.exp(-1.0 / 0.7))
     assert out.values[-1] == pytest.approx(want, rel=1e-2)
+
+
+def test_simulate_frees_its_arrays_without_the_cycle_collector():
+    # a reference cycle in the solve would hold its arrays (about 0.5 MB
+    # at 16 000 samples) until the cyclic collector happened to run
+    t = np.arange(3000) * 0.01
+    series = SignalSeries(0.0, 0.01, np.minimum(t, 5.0))
+    gc.collect()
+    gc.disable()
+    try:
+        simulate_stress(FracZener(1.0, 0.5, 2.0, 0.4), series)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_simulate_preconditions():

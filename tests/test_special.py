@@ -220,6 +220,25 @@ def test_ml_positive_axis_tiny_alpha_has_no_growth():
         ml(0.001, 1.0, 3.0)  # z**(1/a) = 3**1000
 
 
+@pytest.mark.parametrize("a,b,z", [(2.5, 1.0, -1e300), (2.5, 1.0, -3e8), (3.0, 0.5, -1e12),
+                                   (5.0, 2.0, -1e30)])
+def test_ml_negative_axis_overflow_past_alpha_2(monkeypatch, a, b, z):
+    # for a > 2 the pole pair |z|**(1/a) exp(+-i pi/a) lies right of the
+    # imaginary axis, and past e^709 its growth is refused before mpmath,
+    # which at z = -1e300 would ask for about 1e120 digits
+    def refuse(a, b, z):
+        raise AssertionError(f"E_({a},{b})({z}) reached the mpmath fallback")
+
+    monkeypatch.setattr(special, "_series_mpf", refuse)
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        ml(a, b, z)
+
+
+def test_ml_negative_axis_below_the_guard_is_served():
+    # envelope e^4.9 at a = 2.5, z = -1e3: the guard lets it through
+    assert ml(2.5, 1.0, -1e3) == pytest.approx(ml_series_mp(2.5, 1.0, -1e3), rel=1e-10)
+
+
 def test_ml_truncated_extended_series_declines(monkeypatch):
     # next to z = 1 at tiny a the terms z**k decay only past k ~ 1e10
     monkeypatch.setattr(special, "_MPF_TERMS", 3000)
