@@ -29,7 +29,7 @@ from typing import List, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, FormatError, FrheoError
+from .errors import FormatError, FrheoError
 from .fracops import SignalSeries, _grid_break
 from .models import (ClassicalKelvin, ClassicalMaxwell, FracKelvinVoigt,
                      FracMaxwell, FracZener, PoyntingThomson, SpringPot,
@@ -71,77 +71,140 @@ def _flag(field: str) -> str:
     return "--lambda" if field == "lam" else f"--{field}"
 
 
-def _bulk_ingest(data: bytes):
-    """The signal or creep columns of a plain file's bytes, parsed in bulk,
-    or None.
+def _columns(cells):
+    """(names, indices) of the needed columns among a header row's cells, or None."""
+    col = {c.strip().lower(): i for i, c in enumerate(cells)}
+    for names in (_RECORD_COLUMNS, ("t", "value")):
+        if all(n in col for n in names):
+            return names, [col[n] for n in names]
+    return None
 
-    Plain means UTF-8 without quotes or carriage returns, the header on
-    the first line, every row with the header's cell count and every needed
-    cell a number; a signal's grid must be uniform, and every cell of a
-    creep record a positive real. The values are then those of the row
-    scan in ingest_csv. Anything else returns None, and the row scan names
-    the offending line.
 
-    The cells are read by _read_columns, whose kernel (_decimals) gives
-    each cell the double that float() gives it, or leaves it to float().
-    Why those bits are exact: a cell [+-]digits[.digits][e[+-]ddd] of at
-    most _CELL bytes is the integer m of its digits (below 9e18, so exact
-    in int64) times 10**k. With 10**k = hi + lo from exact integer division
-    (_pow10), m = mh + ml (mh the rounded double, ml its int64 remainder,
-    exact) and Dekker's product mh*hi = p + err, m*10**k is p + t with t =
-    err + mh*lo + ml*hi, to within about 2**-84 of it (the rounding of lo,
-    which is subnormal for k near -300, dominates). r = p + t rounded, and
-    rem = t - (r - p) is exactly p + t - r. So r is the double nearest
-    m*10**k, which float() returns, when |rem| stays 2**-79 of r's binade
-    below half an ulp (half the smaller ulp below a power of two) and
-    1e-280 < r < 1e280; and also, ties to even included, when ml = lo = 0,
-    where p + err is m*10**k itself. A zero is exact and keeps its sign.
-    Other spellings, longer cells, digit strings of 9e18 or more (the
-    point read as a 0), values next to a tie or out of that range take
-    float() one by one; a file with a cell float() rejects returns None.
+def _nonblank(rows, first):
+    """(line, cells) of each row, numbered from line first, with a non-blank
+    cell; and for each other row the count of kept rows before it."""
+    kept, blank = [], []
+    for line, row in enumerate(rows, first):
+        if any(c.strip() for c in row):
+            kept.append((line, row))
+        else:
+            blank.append(len(kept))
+    return kept, blank
 
-    np.loadtxt, which this replaces, converts cell by cell, as a split of
-    the text with float() per cell does (at about 0.8 of loadtxt's time).
-    On a 2-core x86-64 virtual machine (CPython 3.11, numpy 2.4)
-    ingest_csv on the 40 repr-written input files of a march pass, 15 to
-    16 000 rows each, took 0.56 to 0.64 of its time with loadtxt (medians
-    of 10 alternating runs, two seeds' files, 10 of 10 wins), with no cell
-    left to float().
+
+def _convert(path, body, names, need) -> np.ndarray:
+    """The cells need of body rows (line, cells) as a (len(names), rows)
+    float array, read row by row and in names order within a row, so the
+    first missing or non-numeric cell in file order is the one named."""
+    x = np.empty((len(names), len(body)))
+    for k, (line, row) in enumerate(body):
+        for j, (name, i) in enumerate(zip(names, need)):
+            if i >= len(row):
+                raise FormatError(f"{path} line {line}: missing {name} cell")
+            text = row[i].strip()
+            try:
+                x[j, k] = float(text)
+            except ValueError:
+                raise FormatError(
+                    f"{path} line {line}: non-numeric {name} value {text!r}") from None
+    return x
+
+
+def _bulk_ingest(data: bytes, path):
+    """The column names, needed cells and body line numbering of a plain
+    file, read in bulk; None if it is not plain (UTF-8 without quotes or
+    carriage returns, the header on its first line) or has no data row.
+
+    The csv module splits such a file's lines at their commas, so a chunk
+    _read_columns leaves (an inner blank line, a row of another cell count,
+    a needed cell float() rejects) is split so and read by _convert.
     """
+    if data[-2:-1].isspace():  # blank lines at the end number no row; one "\n" needs no copy
+        data = data.rstrip()
     end = data.find(b"\n")
     if end < 0 or b'"' in data or b"\r" in data:
         return None
-    try:
-        header = data[:end].decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
-    heads = header.split(",")
-    col = {c.strip().lower(): i for i, c in enumerate(heads)}
-    if all(c in col for c in _RECORD_COLUMNS):
-        names = _RECORD_COLUMNS
-    elif "t" in col and "value" in col:
-        names = ("t", "value")
-    else:
-        return None
-    cells = _read_columns(data, end + 1, len(heads), [col[c] for c in names])
-    if cells is None:
-        return None
-    if names == _RECORD_COLUMNS:
+    if not data.isascii():
         try:
-            return CreepColumns(*cells)
-        except DomainError:  # a cell that is not a positive real
+            data.decode("utf-8")
+        except UnicodeDecodeError:
             return None
-    t, v = cells
-    if t.size < 2 or _grid_break(t) is not None:
+    heads = data[:end].decode("utf-8-sig").split(",")
+    found = _columns(heads)
+    if found is None:
         return None
-    return SignalSeries(t[0], t[1] - t[0], v)
+    names, need = found
+    parts, blanks, rows = [], [], 0  # blanks: the body rows before each blank line
+    for lo, hi, x in _read_columns(data, end + 1, len(heads), need):
+        if x is None:
+            lines = data[lo:hi].decode("utf-8").removesuffix("\n").split("\n")
+            body, blank = _nonblank((s.split(",") for s in lines), 2 + rows + len(blanks))
+            blanks += [rows + b for b in blank]
+            x = _convert(path, body, names, need)
+        rows += x.shape[1]
+        parts.append(x)
+    if not rows:
+        return None
+    return names, np.concatenate(parts, axis=1), lambda k: k + 2 + sum(b <= k for b in blanks)
+
+
+def _row_scan(data: bytes, path):
+    """As _bulk_ingest, for any UTF-8 file, read with the csv module: quoted
+    cells, carriage returns, blank lines before the header."""
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        raw, _ = _nonblank(rows, 1)
+    except csv.Error as e:  # a cell over the csv module's field limit
+        raise FormatError(f"{path} line {rows.line_num}: {e}") from None
+    if not raw:
+        raise FormatError(f"{path}: no header row")
+    body = raw[1:]
+    if not body:
+        raise FormatError(f"{path}: no data rows")
+    found = _columns(raw[0][1])
+    if found is None:
+        raise FormatError(
+            f"{path}: header must contain t,stress,strain or t,value "
+            f"(got {','.join(c.strip().lower() for c in raw[0][1])})")
+    return found[0], _convert(path, body, *found), lambda k: body[k][0]
+
+
+def _validate(path, names, x, line_of) -> Union[CreepColumns, SignalSeries]:
+    """The creep columns or signal of the needed cells x, a row per name, or
+    the E_FORMAT error of the first rule break, naming line_of(body row)."""
+    if names == _RECORD_COLUMNS:
+        bad = ~((x > 0.0) & (x < np.inf))
+        if bad.any():
+            k, j = divmod(int(np.argmax(bad.T)), len(names))  # the first in file order
+            raise FormatError(
+                f"{path} line {line_of(k)}: {names[j]} must be a positive real, got {x[j, k]:g}")
+        return CreepColumns(*x)
+    t = x[0]
+    if t.size < 2:
+        raise FormatError(f"{path}: a signal needs at least 2 rows")
+    dt, i = float(t[1]) - float(t[0]), _grid_break(t)
+    if i == 1:  # at the first non-finite time of t0, t1, else at t1
+        k = int(np.isfinite(t[0]))
+        why = (f"time must be finite, got {t[k]:g}" if not np.isfinite(t[k])
+               else "times must increase" if dt <= 0.0 else f"grid step {dt:g} is not finite")
+        raise FormatError(f"{path} line {line_of(k)}: {why}")
+    if i is not None:
+        raise FormatError(
+            f"{path} line {line_of(i)}: grid step {float(t[i]) - float(t[i - 1]):.12g} "
+            f"breaks uniform spacing {dt:.12g}")
+    return SignalSeries(t[0], dt, x[1])
 
 
 def ingest_csv(path) -> Union[CreepColumns, SignalSeries]:
     """Load a UTF-8 creep-record (t,stress,strain) or signal (t,value) file,
     columns matched by name in any order and case. A signal's times must be
     finite, increasing and uniform: dt = t1 - t0 > 0, every step within
-    1e-9 * dt of dt."""
+    1e-9 * dt of dt. The first unreadable cell in file order is named
+    first, then the first cell that breaks a rule."""
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"input file not found: {path}")
@@ -149,69 +212,7 @@ def ingest_csv(path) -> Union[CreepColumns, SignalSeries]:
         data = p.read_bytes()
     except OSError as e:
         raise FormatError(f"{path}: cannot be read ({e.strerror})") from None
-    bulk = _bulk_ingest(data)
-    if bulk is not None:
-        return bulk
-    try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    rows = csv.reader(io.StringIO(text, newline=""))
-    try:
-        raw = [(i + 1, row) for i, row in enumerate(rows)
-               if row and any(cell.strip() for cell in row)]
-    except csv.Error as e:  # a cell over the csv module's field limit
-        raise FormatError(f"{path} line {rows.line_num}: {e}") from None
-    if not raw:
-        raise FormatError(f"{path}: no header row")
-    header = [c.strip().lower() for c in raw[0][1]]
-    col = {name: i for i, name in enumerate(header)}
-    body = raw[1:]
-    if not body:
-        raise FormatError(f"{path}: no data rows")
-
-    def cell(line, row, name):
-        idx = col[name]
-        if idx >= len(row):
-            raise FormatError(f"{path} line {line}: missing {name} cell")
-        text = row[idx].strip()
-        try:
-            v = float(text)
-        except ValueError:
-            raise FormatError(
-                f"{path} line {line}: non-numeric {name} value {text!r}") from None
-        return v
-
-    if all(n in col for n in _RECORD_COLUMNS):
-        records = []
-        for line, row in body:
-            vals = [cell(line, row, n) for n in _RECORD_COLUMNS]
-            for n, v in zip(_RECORD_COLUMNS, vals):
-                if not 0.0 < v < np.inf:
-                    raise FormatError(
-                        f"{path} line {line}: {n} must be a positive real, got {v:g}")
-            records.append(vals)
-        return CreepColumns(*np.array(records).T)
-    if "t" in col and "value" in col:
-        t = [cell(line, row, "t") for line, row in body]
-        v = [cell(line, row, "value") for line, row in body]
-        if len(t) < 2:
-            raise FormatError(f"{path}: a signal needs at least 2 rows")
-        for k in (0, 1):  # the first step needs two finite times
-            if not np.isfinite(t[k]):
-                raise FormatError(f"{path} line {body[k][0]}: time must be finite, got {t[k]:g}")
-        dt, i = t[1] - t[0], _grid_break(t)
-        if i == 1:
-            why = "times must increase" if dt <= 0.0 else f"grid step {dt:g} is not finite"
-            raise FormatError(f"{path} line {body[1][0]}: {why}")
-        if i is not None:
-            raise FormatError(
-                f"{path} line {body[i][0]}: grid step {t[i] - t[i - 1]:.12g} "
-                f"breaks uniform spacing {dt:.12g}")
-        return SignalSeries(t[0], dt, v)
-    raise FormatError(
-        f"{path}: header must contain t,stress,strain or t,value "
-        f"(got {','.join(header)})")
+    return _validate(path, *(_bulk_ingest(data, path) or _row_scan(data, path)))
 
 
 def _build_model(args):
@@ -442,19 +443,16 @@ def _bulk_cells(x: np.ndarray, m: int) -> bytes:
 # _read_columns copies the body into a buffer in chunks of about
 # _READ_CHUNK bytes, each cut at a line end, after _CELL pad bytes, so that
 # the kernel's temporaries stay below glibc's 128 KB mmap threshold: over
-# the 40 input files of a march pass, chunks of 64 KB took about 350
-# minor page faults a pass and 2 MB of peak memory, 128 KB chunks 11 000
-# and 4 MB in about the same time, whole files 40 000 and 15 MB in about
-# 1.5 times the time. One
-# separator scan gives the cell bounds. The kernel, _decimals, gathers the
-# last _CELL bytes of each needed cell as a row of a sliding window over
-# the buffer, read as three little-endian 64-bit words (a cell's first
-# byte lowest), and works on the eight bytes of a word at once: a
-# zero-byte test finds "e" and the point, a carry-free test flags any byte
-# that is not a digit, and three multiplications turn eight digits into
-# their integer (Lemire, Softw. Pract. Exp. 51(8), 2021). These word
-# operations replaced a lookup table of byte pairs, whose lookup, per-row
-# check and digit sums took about four times as long a chunk.
+# the 40 input files of a march pass, chunks of 64 KB took about 350 minor
+# page faults a pass and 2 MB of peak memory, 128 KB chunks 11 000 and
+# 4 MB in about the same time, whole files 40 000 and 15 MB in about 1.5
+# times the time. One separator scan gives the cell bounds. The kernel,
+# _decimals, gathers the last _CELL bytes of each needed cell as a row of a
+# sliding window over the buffer, read as three little-endian 64-bit words
+# (a cell's first byte lowest), and works on the eight bytes of a word at
+# once: a zero-byte test finds "e" and the point, a carry-free test flags
+# any byte that is not a digit, and three multiplications turn eight
+# digits into their integer (Lemire, Softw. Pract. Exp. 51(8), 2021).
 
 _READ_CHUNK = 1 << 16
 _CELL = 24  # bytes of the widest cell the kernel reads: three words
@@ -496,8 +494,24 @@ def _read_tables():
 
 def _decimals(buf, win, e, L):
     """(x, ok): x the float of cell buf[e - L:e] where ok, as float() reads
-    it; win = sliding_window_view(buf, _CELL) and e >= _CELL. See
-    _bulk_ingest for why the bits are exact."""
+    it; win = sliding_window_view(buf, _CELL) and e >= _CELL.
+
+    Why those bits are exact: a cell [+-]digits[.digits][e[+-]ddd] of at
+    most _CELL bytes is the integer m of its digits (below 9e18, so exact
+    in int64) times 10**k. With 10**k = hi + lo from exact integer division
+    (_pow10), m = mh + ml (mh the rounded double, ml its int64 remainder,
+    exact) and Dekker's product mh*hi = p + err, m*10**k is p + t with t =
+    err + mh*lo + ml*hi, to within about 2**-84 of it (the rounding of lo,
+    which is subnormal for k near -300, dominates). r = p + t rounded, and
+    rem = t - (r - p) is exactly p + t - r. So r is the double nearest
+    m*10**k, which float() returns, when |rem| stays 2**-79 of r's binade
+    below half an ulp (half the smaller ulp below a power of two) and
+    1e-280 < r < 1e280; and also, ties to even included, when ml = lo = 0,
+    where p + err is m*10**k itself. A zero is exact and keeps its sign.
+    Other spellings, longer cells, digit strings of 9e18 or more (the
+    point read as a 0), values next to a tie or out of that range are not
+    ok and take float() one by one.
+    """
     tb = _read_tables()
     first = buf.take(e - L)
     neg = first == 45
@@ -568,14 +582,15 @@ def _decimals(buf, win, e, L):
 
 
 def _read_columns(data: bytes, start: int, ncols: int, need):
-    """The cells of columns need of the body data[start:], one row of ncols
-    cells a line, as a (len(need), rows) float array; None if a row has
-    another cell count, the text is not UTF-8, there are no rows or float()
-    rejects a needed cell."""
+    """Yield (lo, hi, x) for each chunk data[lo:hi] of whole lines of the
+    body data[start:]: x the cells of columns need, one row of ncols cells
+    a line, as a (len(need), rows) float array; None if a line has another
+    cell count (an empty line included) or float() rejects a needed cell."""
     buf = np.zeros(_CELL + _READ_CHUNK + 1, dtype=np.uint8)
     win = sliding_window_view(buf, _CELL)
-    out, lo = [], start
-    while lo < len(data):
+    hi = start
+    while hi < len(data):
+        lo = hi
         hi = data.rfind(b"\n", lo, lo + _READ_CHUNK) + 1 or data.find(b"\n", lo) + 1 or len(data)
         if _CELL + hi - lo + 1 > buf.size:  # one line longer than a chunk
             buf = np.zeros(_CELL + hi - lo + 1, dtype=np.uint8)
@@ -585,36 +600,24 @@ def _read_columns(data: bytes, start: int, ncols: int, need):
         c[-1] = 10
         if data[hi - 1] == 10:
             c = c[:-1]
-        if c.max() > 127:  # UTF-8 outside the needed cells is read past
-            try:
-                data[lo:hi].decode("utf-8")
-            except UnicodeDecodeError:
-                return None
         sep = np.flatnonzero((c == 44) | (c == 10))
         prev = np.empty_like(sep)
         prev[0] = _CELL - 1
         prev[1:] = sep[:-1]
         kinds = c.take(sep)
-        blank = (kinds == 10) & (sep - prev == 1)  # an empty line, as the row scan skips
-        blank[1:] &= kinds[:-1] == 10
-        if blank.any():
-            sep, prev, kinds = sep[~blank], prev[~blank], kinds[~blank]
         if (sep.size % ncols or (kinds.reshape(-1, ncols)[:, -1] != 10).any()
                 or np.count_nonzero(kinds == 10) != sep.size // ncols):
-            return None
-        lo = hi
-        if not sep.size:
+            yield lo, hi, None
             continue
         e = sep.reshape(-1, ncols)[:, need].T.ravel()
         L = e - 1 - prev.reshape(-1, ncols)[:, need].T.ravel()
         x, ok = _decimals(c, win, e, L)
-        for i in np.flatnonzero(~ok).tolist():  # the rest, one float() each
-            try:
+        try:
+            for i in np.flatnonzero(~ok).tolist():  # the rest, one float() each
                 x[i] = float(c[e[i] - L[i]:e[i]].tobytes())
-            except ValueError:
-                return None
-        out.append(x.reshape(len(need), -1))
-    return np.concatenate(out, axis=1) if out else None
+        except ValueError:
+            x = None
+        yield lo, hi, None if x is None else x.reshape(len(need), -1)
 
 
 def _cells(values: np.ndarray) -> List[str]:
@@ -709,21 +712,24 @@ def _cmd_respond(args):
     return params, result, {}
 
 
+def _input(args, kind):
+    """The --input file of a command that takes kind, SignalSeries or CreepColumns."""
+    got = ingest_csv(args.input)
+    if not isinstance(got, kind):
+        what = "t,value signal" if kind is SignalSeries else "t,stress,strain"
+        raise FormatError(f"{args.input}: {args.command} expects a {what} file")
+    return got
+
+
 def _cmd_simulate(args):
     model = _build_model(args)
-    series = ingest_csv(args.input)
-    if not isinstance(series, SignalSeries):
-        raise FormatError(f"{args.input}: simulate expects a t,value signal file")
-    stress = simulate_stress(model, series)
+    stress = simulate_stress(model, _input(args, SignalSeries))
     return ({**_model_params(args), "input": args.input},
             {"t": stress.times(), "value": stress.values}, {})
 
 
 def _cmd_fit(args):
-    records = ingest_csv(args.input)
-    if isinstance(records, SignalSeries):
-        raise FormatError(f"{args.input}: fit expects a t,stress,strain file")
-    fit = fit_nutting(records)
+    fit = fit_nutting(_input(args, CreepColumns))
     return ({"law": args.law, "input": args.input},
             {"psi": fit.psi, "alpha": fit.alpha, "beta_exp": fit.beta_exp,
              "rms_log_residual": fit.rms_log_residual},
@@ -732,10 +738,7 @@ def _cmd_fit(args):
 
 
 def _cmd_quasi(args):
-    series = ingest_csv(args.input)
-    if not isinstance(series, SignalSeries):
-        raise FormatError(f"{args.input}: quasi expects a t,value signal file")
-    out = quasi_property(args.stress, series, args.mu)
+    out = quasi_property(args.stress, _input(args, SignalSeries), args.mu)
     return ({"stress": args.stress, "mu": args.mu, "input": args.input},
             {"t": out.times(), "value": out.values}, {})
 

@@ -113,8 +113,6 @@ def gl_weights(nu: OrderLike, n: int) -> np.ndarray:
     order = _order(nu)
     if n < 1:
         raise DomainError(f"need at least one weight, got n={n}")
-    if n == 1:
-        return np.ones(1)
     j = np.arange(1, n, dtype=float)
     return np.concatenate(([1.0], np.cumprod(1.0 - (order + 1.0) / j)))
 

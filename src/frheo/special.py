@@ -383,17 +383,14 @@ def _ml_point(a: float, b: float, z: float) -> float:
     elif a == 1.0 and b == 1.0:
         v = math.exp(z)  # exact route; raises OverflowError natively
     else:
-        if z > 1.0:
-            # past z = 1 the growth z**((1-b)/a) exp(z**(1/a))/a dominates
-            lu = math.log(z) / a
-            if lu > 700.0 or math.exp(lu) + (1.0 - b) * lu - math.log(a) > 709.0:
-                raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
-        elif z < -1.0 and a > 2.0:
-            # the pole pair s = |z|**(1/a) exp(+-i pi/a) lies right of the
-            # imaginary axis; its residues, 2/a Re(s**(1-b) exp(s)), grow
-            # like |z|**((1-b)/a) exp(|z|**(1/a) cos(pi/a)) 2/a
-            lu = math.log(-z) / a  # at most 355 here
-            if math.exp(lu) * math.cos(math.pi / a) + (1.0 - b) * lu - math.log(a / 2.0) > 709.0:
+        if z > 1.0 or z < -1.0 and a > 2.0:
+            # the dominant poles grow like m/a |z|**((1-b)/a) exp(|z|**(1/a) c):
+            # past z = 1 the pole s = z**(1/a) (c = 1, m = 1); for z < -1 and
+            # a > 2 the pair s = |z|**(1/a) exp(+-i pi/a) right of the imaginary
+            # axis, with residues 2/a Re(s**(1-b) exp(s)) (c = cos(pi/a), m = 2)
+            c, m = (1.0, 1.0) if z > 0.0 else (math.cos(math.pi / a), 2.0)
+            lu = math.log(abs(z)) / a  # at most 355 for z < -1
+            if lu > 700.0 or math.exp(lu) * c + (1.0 - b) * lu - math.log(a / m) > 709.0:
                 raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
         for route in (_taylor, _alg_asym) if z < 0.0 and a < 2.0 else (_taylor,):
             r = route(a, b, z)

@@ -316,22 +316,32 @@ def ingest_outcome(path):
 
 
 def row_scan_outcome(path):
-    with mock.patch.object(cli, "_bulk_ingest", lambda p: None):
+    with mock.patch.object(cli, "_bulk_ingest", lambda data, path: None):
         return ingest_outcome(path)
+
+
+def bulk_tokens(path):
+    """What the bulk reader makes of a file: None, or its column names, the
+    shape of its cells and the line numbers of its first and last rows."""
+    tokens = cli._bulk_ingest(Path(path).read_bytes(), path)
+    if tokens is not None:
+        names, x, line_of = tokens
+        return names, x.shape, line_of(0), line_of(x.shape[1] - 1)
+    return None
 
 
 def test_ingest_plain_signal_takes_the_bulk_path(tmp_path):
     path = ramp_csv(tmp_path, dt=0.001)
-    series = cli._bulk_ingest(Path(path).read_bytes())
-    assert series is not None and len(series) == 1001
+    assert bulk_tokens(path) == (("t", "value"), (2, 1001), 2, 1002)
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
-@pytest.mark.parametrize("text", ["t,value\n0,1\n1,2\n\n", "t,value\n\n0,1\n\n\n1,2"],
-                         ids=["trailing", "leading and inner"])
+@pytest.mark.parametrize("text", ["t,value\n0,1\n1,2\n\n", "t,value\n\n0,1\n\n\n1,2",
+                                  "t,value\n0,1\n1,2\n  \n", "t,value\n0,1\n\t\n1,2\n"],
+                         ids=["trailing", "leading and inner", "trailing spaces", "inner tab"])
 def test_bulk_ingest_skips_empty_lines_as_the_row_scan_does(tmp_path, text):
     path = write(tmp_path / "blank.csv", text)
-    assert cli._bulk_ingest(text.encode()) is not None
+    assert bulk_tokens(path) is not None
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -391,6 +401,22 @@ def test_bulk_ingest_matches_the_row_scan(tmp_path, text):
 
 
 
+@pytest.mark.parametrize("text,message", [
+    ("t,value\n0,1\n1,oops\n0.5,3\nbad,4\n", "line 3: non-numeric value value 'oops'"),
+    ("t,value\n0,1\n1,2\n0.5,3\nbad,4\n", "line 5: non-numeric t value 'bad'"),
+    ("t,value\n0,1\n1,2\n0.5,3\n2,4\n", "line 4: grid step -0.5 breaks uniform spacing 1"),
+    ("t,stress,strain\n1,-1,0.5\n2,1,0\n3,abc,0.7\n", "line 4: non-numeric stress value 'abc'"),
+    ("t,stress,strain\n1,-1,0.5\n2,1,0\n3,1,0.7\n",
+     "line 2: stress must be a positive real, got -1"),
+], ids=["signal value before t", "signal t after a break", "signal break", "creep unreadable",
+        "creep non-positive"])
+def test_unreadable_cells_are_named_before_rule_breaks(tmp_path, text, message):
+    # the first unreadable cell in file order, else the first rule break,
+    # from either reader
+    path = write(tmp_path / "faults.csv", text)
+    assert ingest_outcome(path) == ("FormatError", f"{path} {message}") == row_scan_outcome(path)
+
+
 def creep_file(rng, rows):
     """Text of a seeded plain t,stress,strain file: columns in any order and
     case, beside a note column, in one of the number styles people write."""
@@ -411,7 +437,7 @@ def creep_file(rng, rows):
 def test_bulk_creep_ingest_matches_the_row_scan(tmp_path, seed):
     rng = np.random.default_rng([15, seed])
     path = write(tmp_path / "creep.csv", creep_file(rng, int(rng.integers(1, 2000))))
-    assert isinstance(cli._bulk_ingest(Path(path).read_bytes()), CreepColumns)
+    assert bulk_tokens(path)[0] == ("t", "stress", "strain")
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -435,10 +461,16 @@ def test_malformed_creep_file_is_one_format_line(tmp_path, capsys, data, message
 
 # --------------------------------------------------------- bulk decimal reader
 
+def read_columns(data):
+    """The chunks _read_columns yields for one column past the header "x",
+    joined, or None if a chunk was left to the line-by-line read."""
+    parts = [x for _, _, x in cli._read_columns(data, 2, 1, [0])]
+    return None if any(x is None for x in parts) else np.concatenate(parts, axis=1)
+
+
 def read_cells(cells):
     """_read_columns and float() on one column of cell texts, as bits."""
-    data = ("x\n" + "\n".join(cells) + "\n").encode()
-    got = cli._read_columns(data, 2, 1, [0])
+    got = read_columns(("x\n" + "\n".join(cells) + "\n").encode())
     want = np.array([float(c) for c in cells])
     return got[0].view(np.int64).tolist(), want.view(np.int64).tolist()
 
@@ -517,7 +549,7 @@ def test_reader_leaves_what_float_rejects_to_the_row_scan(cell):
     with pytest.raises(ValueError):
         float(cell)
     for cells in ([cell], ["1.5", cell, "2"], ["1.5"] * 3 + [cell]):
-        assert cli._read_columns(("x\n" + "\n".join(cells)).encode(), 2, 1, [0]) is None
+        assert read_columns(("x\n" + "\n".join(cells)).encode()) is None
 
 
 def test_reader_kernel_settles_every_repr_cell(tmp_path, monkeypatch):
@@ -719,6 +751,36 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                 "--alpha", "0.5", "--function", "relaxation",
                 "--tmin", "1", "--tmax", "2", "--points", "1"]) == 2
     assert run(["nonsense"]) == 2
+
+
+SPRINGPOT = ["respond", "--model", "springpot", "--kappa", "1", "--alpha", "0.5",
+             "--function", "relaxation"]
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (SPRINGPOT + ["--tmax", "2"], 2, "frheo: need --tmin"),
+    (SPRINGPOT + ["--tmin", "1", "--tmax", "2", "--points", "0"], 2,
+     "frheo: --points must be at least 1, got 0"),
+    (SPRINGPOT + ["--tmin", "2", "--tmax", "1"], 2, "frheo: need --tmin < --tmax, got 2.0 and 1.0"),
+    (SPRINGPOT + ["--tmin", "0", "--tmax", "1"], 2, "frheo: log spacing needs a positive --tmin"),
+    (["ml", "--alpha", "-1", "--z", "1"], 2,
+     "frheo: E_DOMAIN: ml alpha must be positive and finite, got -1.0"),
+    (["simulate", "--model", "springpot", "--kappa", "1", "--alpha", "0.5", "--input", "{creep}"],
+     1, "E_FORMAT: {creep}: simulate expects a t,value signal file"),
+    (["quasi", "--stress", "1", "--mu", "0.5", "--input", "{creep}"], 1,
+     "E_FORMAT: {creep}: quasi expects a t,value signal file"),
+    (["fit", "nutting", "--input", "{signal}"], 1,
+     "E_FORMAT: {signal}: fit expects a t,stress,strain file"),
+    (["quasi", "--stress", "1", "--mu", "0.5", "--input", "{empty}"], 1,
+     "E_FORMAT: {empty}: no header row"),
+], ids=["no tmin", "no points", "tmin above tmax", "log from zero", "ml alpha",
+        "simulate creep file", "quasi creep file", "fit signal file", "empty lines only"])
+def test_refusals_are_one_exact_line(tmp_path, capsys, argv, code, line):
+    paths = {"creep": creep_csv(tmp_path), "signal": ramp_csv(tmp_path),
+             "empty": write(tmp_path / "empty.csv", "\n\n\n")}
+    assert run([a.format(**paths) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err == line.format(**paths) + "\n"
 
 
 def test_evaluation_errors_exit_one(tmp_path, capsys):
