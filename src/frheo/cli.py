@@ -35,7 +35,8 @@ from .models import (ClassicalKelvin, ClassicalMaxwell, FracKelvinVoigt,
                      FracMaxwell, FracZener, PoyntingThomson, SpringPot,
                      ThreeParamMaxwell, complex_modulus, creep_compliance,
                      relaxation_modulus, simulate_stress)
-from .nutting import CreepColumns, fit_nutting, quasi_property
+from .nutting import _FIELDS as _RECORD_COLUMNS, CreepColumns, _first_non_positive
+from .nutting import fit_nutting, quasi_property
 from .special import MLParams, ml_eval
 
 _MODEL_SPECS = {
@@ -60,9 +61,6 @@ class _UsageError(Exception):
     """Bad flags or parameter combinations; maps to exit code 2."""
 
 
-_RECORD_COLUMNS = ("t", "stress", "strain")
-
-
 def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
@@ -80,15 +78,20 @@ def _columns(cells):
     return None
 
 
-def _nonblank(rows, first):
-    """(line, cells) of each row, numbered from line first, with a non-blank
-    cell; and for each other row the count of kept rows before it."""
+def _nonblank(path, lines, first):
+    """(line, cells) of each csv row of lines, numbered from line first, with
+    a non-blank cell; and for each other row the count of kept rows before
+    it. A cell over the csv module's field limit is an E_FORMAT line."""
     kept, blank = [], []
-    for line, row in enumerate(rows, first):
-        if any(c.strip() for c in row):
-            kept.append((line, row))
-        else:
-            blank.append(len(kept))
+    rows = csv.reader(lines)
+    try:
+        for line, row in enumerate(rows, first):
+            if any(c.strip() for c in row):
+                kept.append((line, row))
+            else:
+                blank.append(len(kept))
+    except csv.Error as e:
+        raise FormatError(f"{path} line {first - 1 + rows.line_num}: {e}") from None
     return kept, blank
 
 
@@ -115,9 +118,9 @@ def _bulk_ingest(data: bytes, path):
     file, read in bulk; None if it is not plain (UTF-8 without quotes or
     carriage returns, the header on its first line) or has no data row.
 
-    The csv module splits such a file's lines at their commas, so a chunk
-    _read_columns leaves (an inner blank line, a row of another cell count,
-    a needed cell float() rejects) is split so and read by _convert.
+    A chunk _read_columns leaves (an inner blank line, a row of another
+    cell count, a needed cell float() rejects) is split into lines, read
+    by the csv module as the row scan reads them, and converted by _convert.
     """
     if data[-2:-1].isspace():  # blank lines at the end number no row; one "\n" needs no copy
         data = data.rstrip()
@@ -138,7 +141,7 @@ def _bulk_ingest(data: bytes, path):
     for lo, hi, x in _read_columns(data, end + 1, len(heads), need):
         if x is None:
             lines = data[lo:hi].decode("utf-8").removesuffix("\n").split("\n")
-            body, blank = _nonblank((s.split(",") for s in lines), 2 + rows + len(blanks))
+            body, blank = _nonblank(path, lines, 2 + rows + len(blanks))
             blanks += [rows + b for b in blank]
             x = _convert(path, body, names, need)
         rows += x.shape[1]
@@ -155,11 +158,7 @@ def _row_scan(data: bytes, path):
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    rows = csv.reader(io.StringIO(text, newline=""))
-    try:
-        raw, _ = _nonblank(rows, 1)
-    except csv.Error as e:  # a cell over the csv module's field limit
-        raise FormatError(f"{path} line {rows.line_num}: {e}") from None
+    raw, _ = _nonblank(path, io.StringIO(text, newline=""), 1)
     if not raw:
         raise FormatError(f"{path}: no header row")
     body = raw[1:]
@@ -177,9 +176,9 @@ def _validate(path, names, x, line_of) -> Union[CreepColumns, SignalSeries]:
     """The creep columns or signal of the needed cells x, a row per name, or
     the E_FORMAT error of the first rule break, naming line_of(body row)."""
     if names == _RECORD_COLUMNS:
-        bad = ~((x > 0.0) & (x < np.inf))
-        if bad.any():
-            k, j = divmod(int(np.argmax(bad.T)), len(names))  # the first in file order
+        bad = _first_non_positive(x)
+        if bad:
+            k, j = bad
             raise FormatError(
                 f"{path} line {line_of(k)}: {names[j]} must be a positive real, got {x[j, k]:g}")
         return CreepColumns(*x)
@@ -586,14 +585,13 @@ def _read_columns(data: bytes, start: int, ncols: int, need):
     body data[start:]: x the cells of columns need, one row of ncols cells
     a line, as a (len(need), rows) float array; None if a line has another
     cell count (an empty line included) or float() rejects a needed cell."""
-    buf = np.zeros(_CELL + _READ_CHUNK + 1, dtype=np.uint8)
-    win = sliding_window_view(buf, _CELL)
+    buf = np.zeros(0, dtype=np.uint8)
     hi = start
     while hi < len(data):
         lo = hi
         hi = data.rfind(b"\n", lo, lo + _READ_CHUNK) + 1 or data.find(b"\n", lo) + 1 or len(data)
-        if _CELL + hi - lo + 1 > buf.size:  # one line longer than a chunk
-            buf = np.zeros(_CELL + hi - lo + 1, dtype=np.uint8)
+        if _CELL + hi - lo + 1 > buf.size:  # the first chunk, or one line longer than a chunk
+            buf = np.zeros(_CELL + max(hi - lo, _READ_CHUNK) + 1, dtype=np.uint8)
             win = sliding_window_view(buf, _CELL)
         c = buf[:_CELL + hi - lo + 1]
         c[_CELL:-1] = np.frombuffer(data, np.uint8, hi - lo, lo)
@@ -743,23 +741,11 @@ def _cmd_quasi(args):
             {"t": out.times(), "value": out.values}, {})
 
 
-def _add_output_flags(p):
-    p.add_argument("--output", help="write here instead of standard output")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def _add_model_flags(p):
     p.add_argument("--model", choices=sorted(_MODEL_SPECS))
     fields = (f.name for cls in _MODEL_SPECS.values() for f in dataclasses.fields(cls))
     for f in dict.fromkeys(fields):
         p.add_argument(_flag(f), dest=f, type=float)
-
-
-def _add_grid_flags(p):
-    p.add_argument("--tmin", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--spacing", choices=("log", "linear"), default="log")
 
 
 @functools.cache
@@ -778,35 +764,35 @@ def _build_parser() -> argparse.ArgumentParser:
     ml_p.add_argument("--alpha", type=float, required=True)
     ml_p.add_argument("--beta", type=float, default=1.0)
     ml_p.add_argument("--z", type=float, required=True)
-    _add_output_flags(ml_p)
-    ml_p.set_defaults(handler=_cmd_ml)
 
     re_p = sub.add_parser("respond", help="material-function sweep on a grid")
     _add_model_flags(re_p)
     re_p.add_argument("--function", required=True,
                       choices=("relaxation", "creep", "complex"))
-    _add_grid_flags(re_p)
-    _add_output_flags(re_p)
-    re_p.set_defaults(handler=_cmd_respond)
+    re_p.add_argument("--tmin", type=float)
+    re_p.add_argument("--tmax", type=float)
+    re_p.add_argument("--points", type=int, default=50)
+    re_p.add_argument("--spacing", choices=("log", "linear"), default="log")
 
     si_p = sub.add_parser("simulate", help="stress from a strain-history file")
     _add_model_flags(si_p)
     si_p.add_argument("--input", required=True)
-    _add_output_flags(si_p)
-    si_p.set_defaults(handler=_cmd_simulate)
 
     fi_p = sub.add_parser("fit", help="fit a material law to creep records")
     fi_p.add_argument("law", choices=("nutting",))
     fi_p.add_argument("--input", required=True)
-    _add_output_flags(fi_p)
-    fi_p.set_defaults(handler=_cmd_fit)
 
     qu_p = sub.add_parser("quasi", help="stress over fractional strain rate")
     qu_p.add_argument("--input", required=True)
     qu_p.add_argument("--stress", type=float, required=True)
     qu_p.add_argument("--mu", type=float, required=True)
-    _add_output_flags(qu_p)
-    qu_p.set_defaults(handler=_cmd_quasi)
+
+    handlers = {"ml": _cmd_ml, "respond": _cmd_respond, "simulate": _cmd_simulate,
+                "fit": _cmd_fit, "quasi": _cmd_quasi}
+    for name, p in sub.choices.items():  # the output flags last, in every usage line
+        p.add_argument("--output", help="write here instead of standard output")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(handler=handlers[name])
     return parser
 
 

@@ -352,9 +352,7 @@ def transfer_function(m: MaterialModel, s) -> complex:
 
 
 def _time_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim == 0:
-        t = t.reshape(1)
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.size < 1 or not np.all(np.isfinite(t)):
         raise DomainError("time grid must be non-empty and finite")
     if np.any(t <= 0.0):
@@ -366,27 +364,28 @@ def _time_grid(t_grid) -> np.ndarray:
 
 def relaxation_modulus(m: MaterialModel, t_grid) -> MaterialResponse:
     """Stress response to a unit step strain, sampled at t_grid."""
+    return _step_response(m, t_grid, "relaxation", lambda g, s: g / s)
+
+
+def creep_compliance(m: MaterialModel, t_grid) -> MaterialResponse:
+    """Strain response to a unit step stress, sampled at t_grid."""
+    return _step_response(m, t_grid, "creep", lambda g, s: 1.0 / (s * g))
+
+
+def _step_response(m: MaterialModel, t_grid, kind: str, transform) -> MaterialResponse:
+    """The model's closed form of kind, else the inverse of transform(G(s), s)."""
     t = _time_grid(t_grid)
     lhs, rhs = _operator_terms(m)
+    closed = m._relaxation if kind == "relaxation" else m._creep
     # the parabolas' nodes avoid s = 0 and the branch cut: no
     # transfer_function checks, and _ratio takes a whole block of nodes;
     # a closed form may overflow, and MaterialResponse refuses what it leaves
     # non-finite, so numpy need not warn; _bromwich refuses a non-finite sum
     # on its own
     with np.errstate(all="ignore"):
-        g = m._relaxation(t) if m._relaxation else _bromwich(
-            lambda s: _ratio(lhs, rhs, s) / s, t, _INVERT_TOL)
-    return MaterialResponse("relaxation", t, g)
-
-
-def creep_compliance(m: MaterialModel, t_grid) -> MaterialResponse:
-    """Strain response to a unit step stress, sampled at t_grid."""
-    t = _time_grid(t_grid)
-    lhs, rhs = _operator_terms(m)
-    with np.errstate(all="ignore"):
-        j = m._creep(t) if m._creep else _bromwich(
-            lambda s: 1.0 / (s * _ratio(lhs, rhs, s)), t, _INVERT_TOL)
-    return MaterialResponse("creep", t, j)
+        v = closed(t) if closed else _bromwich(
+            lambda s: transform(_ratio(lhs, rhs, s), s), t, _INVERT_TOL)
+    return MaterialResponse(kind, t, v)
 
 
 def complex_modulus(m: MaterialModel, omega_grid) -> MaterialResponse:

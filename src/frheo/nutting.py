@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DegenerateDataError, DivisionError, DomainError, _in_range, _positive
 from .fracops import OrderLike, SignalSeries, _grid_break, gl_derivative
 
+_FIELDS = ("t", "stress", "strain")  # of a creep record, in file and column order
+
 
 @dataclass(frozen=True)
 class CreepRecord:
@@ -26,8 +28,16 @@ class CreepRecord:
     strain: float
 
     def __post_init__(self):
-        for name in ("t", "stress", "strain"):
+        for name in _FIELDS:
             _positive(getattr(self, name), f"creep record field {name}")
+
+
+def _first_non_positive(cols):
+    """(row, column) of the first cell of the equal-length columns cols,
+    read row by row, that is not a positive real; None if every cell is."""
+    x = np.asarray(cols)
+    bad = ~((x > 0.0) & (x < np.inf))
+    return divmod(int(np.argmax(bad.T)), len(x)) if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -41,14 +51,15 @@ class CreepColumns:
     strain: np.ndarray
 
     def __post_init__(self):
-        cols = {n: np.asarray(getattr(self, n), dtype=float) for n in ("t", "stress", "strain")}
-        if any(c.ndim != 1 or c.size != cols["t"].size for c in cols.values()):
+        cols = [np.asarray(getattr(self, n), dtype=float) for n in _FIELDS]
+        if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
             raise DomainError("creep columns must be 1-D and of one length")
-        for name, c in cols.items():
-            bad = ~((c > 0.0) & (c < np.inf))
-            if bad.any():
-                raise DomainError(f"creep record field {name} must be a positive real, "
-                                  f"got {c[bad.argmax()]}")
+        bad = _first_non_positive(cols)
+        if bad:
+            k, j = bad
+            raise DomainError(f"creep record field {_FIELDS[j]} must be a positive real, "
+                              f"got {cols[j][k]}")
+        for name, c in zip(_FIELDS, cols):
             object.__setattr__(self, name, c)
 
     def __len__(self) -> int:
@@ -99,23 +110,16 @@ def fit_nutting(data) -> NuttingFit:
     if n < 3:
         raise DegenerateDataError(f"need at least 3 records, got {n}")
     log_t, log_s, y = np.log(data.t), np.log(data.stress), np.log(data.strain)
-    beta_fixed = np.unique(log_s).size < 2
-    if beta_fixed:
-        design = np.column_stack([log_t, np.ones(n)])
-        target = y - log_s  # b pinned to 1
-    else:
-        design = np.column_stack([log_s, log_t, np.ones(n)])
-        target = y
+    beta_fixed = bool(np.unique(log_s).size < 2)
+    # with b pinned to 1, log stress moves from the design to the target
+    design = np.column_stack([log_t, np.ones(n)] if beta_fixed else [log_s, log_t, np.ones(n)])
+    target = y - log_s if beta_fixed else y
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < design.shape[1]:
         raise DegenerateDataError(
             "records do not span the fit: vary the times "
             "(and stresses, for the stress exponent)")
-    if beta_fixed:
-        beta_exp = 1.0
-        alpha, intercept = coef
-    else:
-        beta_exp, alpha, intercept = coef
+    beta_exp, alpha, intercept = (1.0, *coef) if beta_fixed else coef
     resid = target - design @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
     return NuttingFit(
@@ -124,7 +128,7 @@ def fit_nutting(data) -> NuttingFit:
         beta_exp=float(beta_exp),
         rms_log_residual=rms,
         n_points=n,
-        beta_fixed=bool(beta_fixed),
+        beta_fixed=beta_fixed,
         alpha_range_violation=not 0.0 <= alpha <= 1.0,
     )
 

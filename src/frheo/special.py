@@ -125,8 +125,7 @@ def _taylor(a: float, b: float, z: float):
     pred = _series_predict(a, b, z)
     if pred is None or pred[0] > 500 or pred[1] > 690.0:
         return None
-    count = pred[0]
-    if abs(z) > 1.0 and count * math.log(abs(z)) > 600.0:
+    if abs(z) > 1.0 and pred[0] * math.log(abs(z)) > 600.0:
         return None  # z**k would overflow before the tail is reached
     s = 0.0
     comp = 0.0
@@ -135,25 +134,19 @@ def _taylor(a: float, b: float, z: float):
     small = 0
     xmax = abs(b)  # largest |gamma argument|; b < 0 may stop the sum early
     term = 0.0
-    k = 0
-    while k <= 500:
+    for k in range(501):
         x = a * k + b
         term = zk * _rgamma(x)
         tabs += abs(term)
-        if x > xmax:
-            xmax = x
+        xmax = max(xmax, x)
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        if abs(term) < 1e-16 * abs(s):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
+        small = small + 1 if abs(term) < 1e-16 * abs(s) else 0  # consecutive small terms
+        if small >= 2:
+            break
         zk *= z
-        k += 1
     if s == 0.0:
         return None
     # per-term rounding, including the double rounding of a*k + b inside
@@ -350,14 +343,10 @@ def _series_mpf(a: float, b: float, z: float) -> float:
             term = zk * ctx.rgamma(am * k + bm)
             s += term
             mag = abs(term)
-            if mag > tmax:
-                tmax = mag
-            if mag < abs(s) * ctx.eps:
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
+            tmax = max(tmax, mag)
+            small = small + 1 if mag < abs(s) * ctx.eps else 0
+            if small >= 2:
+                break
             zk *= zm
             k += 1
         else:  # the tail is still significant: the sum would be truncated

@@ -322,26 +322,38 @@ def row_scan_outcome(path):
 
 def bulk_tokens(path):
     """What the bulk reader makes of a file: None, or its column names, the
-    shape of its cells and the line numbers of its first and last rows."""
-    tokens = cli._bulk_ingest(Path(path).read_bytes(), path)
+    shape of its cells, the line numbers of its first and last rows and the
+    count of chunks its kernel left to the line-by-line read."""
+    split, convert = [], cli._convert
+
+    def counted(*args):
+        split.append(1)
+        return convert(*args)
+
+    with mock.patch.object(cli, "_convert", counted):
+        tokens = cli._bulk_ingest(Path(path).read_bytes(), path)
     if tokens is not None:
         names, x, line_of = tokens
-        return names, x.shape, line_of(0), line_of(x.shape[1] - 1)
+        return names, x.shape, line_of(0), line_of(x.shape[1] - 1), len(split)
     return None
 
 
 def test_ingest_plain_signal_takes_the_bulk_path(tmp_path):
     path = ramp_csv(tmp_path, dt=0.001)
-    assert bulk_tokens(path) == (("t", "value"), (2, 1001), 2, 1002)
+    assert bulk_tokens(path) == (("t", "value"), (2, 1001), 2, 1002, 0)
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
-@pytest.mark.parametrize("text", ["t,value\n0,1\n1,2\n\n", "t,value\n\n0,1\n\n\n1,2",
-                                  "t,value\n0,1\n1,2\n  \n", "t,value\n0,1\n\t\n1,2\n"],
+@pytest.mark.parametrize("text,split", [("t,value\n0,1\n1,2\n\n", 0),
+                                        ("t,value\n\n0,1\n\n\n1,2", 1),
+                                        ("t,value\n0,1\n1,2\n  \n", 0),
+                                        ("t,value\n0,1\n\t\n1,2\n", 1)],
                          ids=["trailing", "leading and inner", "trailing spaces", "inner tab"])
-def test_bulk_ingest_skips_empty_lines_as_the_row_scan_does(tmp_path, text):
+def test_bulk_ingest_skips_empty_lines_as_the_row_scan_does(tmp_path, text, split):
+    # blank lines at the end are dropped before the kernel reads; an inner
+    # one sends its chunk to the line-by-line read, not the file to the row scan
     path = write(tmp_path / "blank.csv", text)
-    assert bulk_tokens(path) is not None
+    assert bulk_tokens(path)[-1] == split
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -437,7 +449,8 @@ def creep_file(rng, rows):
 def test_bulk_creep_ingest_matches_the_row_scan(tmp_path, seed):
     rng = np.random.default_rng([15, seed])
     path = write(tmp_path / "creep.csv", creep_file(rng, int(rng.integers(1, 2000))))
-    assert bulk_tokens(path)[0] == ("t", "stress", "strain")
+    tokens = bulk_tokens(path)
+    assert (tokens[0], tokens[-1]) == (("t", "stress", "strain"), 0)
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -450,8 +463,10 @@ def test_bulk_creep_ingest_matches_the_row_scan(tmp_path, seed):
     (b"t,stress,strain\n1,1,0.5\n2,1\n", "line 3: missing strain cell"),
     (b't,stress,strain\n1,1,0.5\n2,1,"' + b"x" * 140_000 + b'"\n',
      "line 3: field larger than field limit (131072)"),
+    (b"t,stress,strain,note\n1,1,0.5,x\n2,abc,0.7," + b"x" * 140_000 + b"\n",
+     "line 3: field larger than field limit (131072)"),
 ], ids=["quoted cell", "CR line ends", "non-numeric cell", "non-positive cell", "missing cell",
-        "oversized cell"])
+        "oversized cell", "oversized plain cell"])
 def test_malformed_creep_file_is_one_format_line(tmp_path, capsys, data, message):
     path = tmp_path / "creep.csv"
     path.write_bytes(data)
@@ -572,6 +587,19 @@ def test_reader_kernel_settles_every_repr_cell(tmp_path, monkeypatch):
     series = ingest_csv(str(path))
     assert len(left) >= 2 and not any(left)  # over several chunks, none left
     assert series.values.tobytes() == v.tobytes()
+    assert bulk_tokens(path)[-1] == 0  # and no chunk left to the line-by-line read
+
+
+def late_blank_lines(fault=None):
+    """A 15 000-row signal file with an empty line in its first chunk, a
+    U+3000 line and a line of spaces in its second and fault, if any, in
+    place of the row t = 12 000 of its third."""
+    rows = [f"{k},{k * 1e-3!r}" for k in range(15000)]
+    if fault:
+        rows[12000] = fault
+    rows[7000:7000] = ["\u3000", "   "]
+    rows[3000:3000] = [""]
+    return "t,value\n" + "\n".join(rows) + "\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -580,11 +608,26 @@ def test_reader_kernel_settles_every_repr_cell(tmp_path, monkeypatch):
     "t,value\n" + "".join(f"{k}, {k}.5 \n" for k in range(9000)),
     "t,value\n" + "".join(f"{k},{k}\n" for k in range(9000)) + "9000,1,2\n",
     "t,value,note\n" + "".join(f"{k},{k},é\n" for k in range(9000)),
-], ids=["long line", "late odd cell", "spaced cells", "late extra cell", "non-ascii note"])
+    late_blank_lines("11999.5,1"),
+    late_blank_lines("12000,oops"),
+    late_blank_lines(),
+], ids=["long line", "late odd cell", "spaced cells", "late extra cell", "non-ascii note",
+        "late blanks then a break", "late blanks then a bad cell", "late blanks only"])
 def test_bulk_ingest_across_chunks_matches_the_row_scan(tmp_path, text):
     path = tmp_path / "big.csv"
     path.write_bytes(text.replace("{long}", "x" * 131_070).encode("utf-8"))
     assert ingest_outcome(str(path)) == row_scan_outcome(str(path))
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("11999.5,1", "line 12005: grid step 0.5 breaks uniform spacing 1"),
+    ("12000,oops", "line 12005: non-numeric value value 'oops'"),
+])
+def test_late_fault_after_blank_lines_names_its_line(tmp_path, fault, message):
+    # three blank lines, in the two chunks before the fault's, push body
+    # row 12 000 from line 12 002 to line 12 005
+    path = write(tmp_path / "late.csv", late_blank_lines(fault))
+    assert ingest_outcome(path) == ("FormatError", f"{path} {message}")
 
 
 # -------------------------------------------------------------- round trips

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from frheo.errors import DegenerateDataError, DivisionError, DomainError
 from frheo.fracops import SignalSeries
 from frheo.models import nutting_strain
-from frheo.nutting import (CreepRecord, NuttingFit, fit_nutting,
+from frheo.nutting import (CreepColumns, CreepRecord, NuttingFit, fit_nutting,
                            nutting_general_series, quasi_property)
 from frheo.special import gamma
 
@@ -111,6 +111,24 @@ def test_record_and_fit_validation():
     with pytest.raises(DomainError):
         NuttingFit(psi=1.0, alpha=0.5, beta_exp=1.0,
                    rms_log_residual=0.0, n_points=2)
+
+
+@pytest.mark.parametrize("cols,message", [
+    (([1.0, 2.0], [1.0], [1.0, 2.0]), "creep columns must be 1-D and of one length"),
+    (([[1.0]], [1.0], [1.0]), "creep columns must be 1-D and of one length"),
+    (([1.0, 2.0], [1.0, 1.0], [0.5, 0.0]),
+     "creep record field strain must be a positive real, got 0.0"),
+    # the first cell in file order: row 1's stress before row 2's t
+    (([1.0, -2.0], [math.inf, 1.0], [0.5, 0.7]),
+     "creep record field stress must be a positive real, got inf"),
+    (([1.0, math.nan], [1.0, 1.0], [0.5, 0.7]),
+     "creep record field t must be a positive real, got nan"),
+], ids=["ragged", "2-D", "zero strain", "file order", "nan time"])
+def test_creep_columns_refuse_what_a_record_refuses(cols, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        CreepColumns(*cols)
+    good = CreepColumns([1.0, 2.0], [1.0, 1.0], [0.5, 0.7])
+    assert len(good) == 2 and good.stress.dtype == float
 
 
 # ------------------------------------------------------------ quasi-property
