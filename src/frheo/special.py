@@ -217,7 +217,12 @@ def _tight(z):
     return _TIGHT[(abs(z) <= 50.0) * 1]
 
 
-_BLOCK = 256  # z values per contour pass: a (256 x 98) complex array, 0.4 MB
+# z values per contour pass. A block's node terms fill a (256 x 90) complex
+# array, 0.37 MB, above the C allocator's mmap and trim thresholds: fresh
+# arrays per block would be handed back to the kernel after each block and
+# page-faulted in again by the next, so _ml_contour allocates its block
+# arrays once per call and writes every block into them.
+_BLOCK = 256
 
 
 def _ml_contour(a: float, b: float, z, subtract: bool = False):
@@ -263,10 +268,15 @@ def _ml_contour(a: float, b: float, z, subtract: bool = False):
                 at[0, live], at[1, live] = pole, pole.conj()
         x = np.exp(np.multiply.outer((-b, -a), _NODE_LOG))
         numer = _WEIGHTS * x[0]
+        g_buf = np.empty((min(_BLOCK, z.size), numer.size), complex)
+        size_buf = np.empty((g_buf.shape[0], numer.size - _SPLIT))
         for i in range(0, z.size, _BLOCK):
             blk = slice(i, i + _BLOCK)
-            g = numer / (1.0 - z[blk, None] * x[1])
-            size = np.abs(g[:, _SPLIT:])
+            g, size = g_buf[:z.size - i], size_buf[:z.size - i]
+            np.multiply(z[blk, None], x[1], out=g)
+            np.subtract(1.0, g, out=g)
+            np.divide(numer, g, out=g)  # numer / (1 - z s^-a)
+            np.abs(g[:, _SPLIT:], out=size)
             if subtract:
                 part = _WEIGHTS * sum(ck[blk, None] / (_NODES - sk[blk, None])
                                       for ck, sk in zip(c, at))

@@ -516,12 +516,20 @@ def test_simulate_refuses_unusable_pivot():
     # tau / dt overflows the implicit update coefficient to infinity
     with pytest.raises(StabilityError, match="inf"):
         simulate_stress(ClassicalMaxwell(1e-300, 1e308), SignalSeries(0.0, 1e-10, [0.0, 1.0]))
+    # each stress-side coefficient is finite (both of order 0), their sum is not
+    with pytest.raises(StabilityError, match=r"^implicit update coefficient inf is unusable$"):
+        simulate_stress(PoyntingThomson(1e308, 1.0, 1.0, 0.5, 0.5, 0.5),
+                        SignalSeries(0.0, 0.1, [0.0, 1.0]))
 
 
 def test_simulate_names_a_coefficient_that_leaves_double_range():
     # tau * dt**-1 overflows in Python's pow itself on a subnormal step
     with pytest.raises(StabilityError, match=r"coefficient of D\^1 over grid step 1e-310 is inf"):
         simulate_stress(ClassicalMaxwell(1.0, 1.0), SignalSeries(0.0, 1e-310, [0.0, 1.0]))
+    # E * lam**beta = 1e308 * 1e10 on the strain side; the stress side stays finite
+    with pytest.raises(OverflowError,
+                       match=r"^strain-side coefficient of D\^1 exceeds double range$"):
+        simulate_stress(FracMaxwell(1e308, 1e10, 0.5, 1.0), SignalSeries(0.0, 0.1, [0.0, 1.0]))
 
 
 def strain_history(shape, n):

@@ -170,6 +170,8 @@ def test_quasi_property_refuses_empty_strain():
         quasi_property(1.0, SignalSeries(0.0, 0.1, [0.0, 1.0, -1.0, 1.0]), 0.5)
     with pytest.raises(DomainError):
         quasi_property(-1.0, SignalSeries(0.0, 0.1, [0.0, 1.0, 2.0]), 0.5)
+    with pytest.raises(DomainError, match="^too few samples beyond the startup region$"):
+        quasi_property(1.0, SignalSeries(0.0, 0.1, [0.0, 0.0, 0.0, 1.0]), 0.5)
 
 
 # ----------------------------------------------------------- general series
@@ -201,6 +203,9 @@ def test_general_series_small_corrections_stay_small():
 
 
 def test_general_series_domain():
+    for alpha_prime in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^leading exponent must be finite$"):
+            nutting_general_series(1.0, 1.0, alpha_prime, [1.0], [1.0, 2.0])
     with pytest.raises(DomainError):
         nutting_general_series(1.0, 1.0, 0.5, [1.0], [0.0, 1.0])
     with pytest.raises(DomainError):

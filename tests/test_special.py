@@ -542,6 +542,32 @@ def test_ml_grid_pass_through_values():
     assert empty.shape == (0,) and empty.dtype == float
 
 
+# (alpha, beta, z range): no pole, so the plain pass alone; then a pole pair
+# and a real pole, where the plain pass refuses points that the pass with
+# the poles subtracted takes
+BLOCK_EDGE_BANDS = [(0.6, 1.1, (-1e-3, -60.0)), (1.7443, 1.1948, (-1e-2, -120.0)),
+                    (0.7, 1.2, (1e-3, 30.0))]
+
+
+@pytest.mark.parametrize("n", [1, special._BLOCK - 1, special._BLOCK, special._BLOCK + 1,
+                               2 * special._BLOCK + 37])
+@pytest.mark.parametrize("a,b,ends", BLOCK_EDGE_BANDS, ids=lambda v: f"{v:g}" if
+                         isinstance(v, float) else "z")
+def test_ml_contour_blocks_match_one_point_calls(a, b, ends, n):
+    # grids that end inside, on and past a contour block's edge: a value
+    # and its estimate must not depend on where the block cuts the grid
+    z = np.geomspace(*ends, n)
+    assert special._ml_grid(a, b, z).tobytes() == np.array(
+        [ml(a, b, float(x)) for x in z]).tobytes()
+    for subtract in (False, True):
+        whole = special._ml_contour(a, b, z, subtract)
+        points = [special._ml_contour(a, b, z[k:k + 1], subtract) for k in range(n)]
+        for got, one in zip(whole, zip(*points)):
+            assert got.tobytes() == np.concatenate(one).tobytes(), subtract
+    if n > special._BLOCK and (a > 1.0 or ends[0] > 0.0):  # a pole: the second pass runs
+        assert np.any(special._ml_contour(a, b, z)[1] > special._tight(z))
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(a=st.floats(0.01, 1.0), x0=st.floats(0.0, 20.0), h=st.floats(1e-3, 1.5))
 def test_ml_complete_monotonicity_property(a, x0, h):
@@ -659,3 +685,6 @@ def test_kernel_domain_and_params():
     with pytest.raises(DomainError):
         RabotnovParams(-1.0, 1.0)
     RabotnovParams(-0.5, 0.0)  # zero rate is allowed: memory term vanishes
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="^kernel rate must be finite$"):
+            RabotnovParams(-0.5, beta)

@@ -8,16 +8,19 @@ Pair k runs `bench/run.py --seed <seeds[k]>` in checkout A and in checkout
 B, A first when k is even and B first when it is odd (seeds cycle when
 fewer are given). For every metric the last output line reports, it
 prints each side's median and quartiles and how many pairs B won, by the
-direction BENCHMARK.json gives, ties counting for neither side; the
-summary, every run's metrics and whether each run was correct go to
---out as JSON, keyed by workload and trace setting and merged into what
-the file already holds. Every run that was not correct or had failed
+direction BENCHMARK.json gives, ties counting for neither side, and
+each side's median count of minor page faults per run (the children's
+ru_minflt taken around it), so that a fault storm shows next to the
+timings; the summary, every run's metrics and faults and whether each
+run was correct go to --out as JSON, keyed by workload and trace setting
+and merged into what the file already holds. Every run that was not correct or had failed
 jobs is listed on stderr after the summary is written, and the exit
 status is then 1, so a speedup over wrong outputs cannot pass unnoticed.
 """
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -42,10 +45,13 @@ lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"] + spec["p
 def run(root: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     last = json.loads(done.stdout.strip().splitlines()[-1])
     return {"correct": last["correct"], "failed": last["failed"], "seed": seed,
-            "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in last["metrics"].items()},
+            "minflt": faults}
 
 
 def quartiles(xs):
@@ -76,9 +82,12 @@ for workload in args.workloads:
         print(f"  {name:32s} {pa['median']:12.6g} [{pa['q1']:.6g}, {pa['q3']:.6g}]"
               f" -> {ch['median']:12.6g} [{ch['q1']:.6g}, {ch['q3']:.6g}]"
               f"  wins {wins}/{args.pairs}")
+    minflt = {side: quartiles([r["minflt"] for r in runs[side]]) for side in runs}
+    print(f"  {'minor page faults per run':32s} {minflt['parent']['median']:12.6g}"
+          f" -> {minflt['change']['median']:12.6g}")
     summary[f"{workload}-trace{args.trace}"] = {
         "pairs": args.pairs, "seconds": args.seconds, "trace": args.trace,
-        "metrics": metrics, "runs": runs}
+        "metrics": metrics, "minflt": minflt, "runs": runs}
 args.out.write_text(json.dumps(summary, indent=1) + "\n")
 for line in wrong:
     print(f"wrong run: {line}", file=sys.stderr)
