@@ -118,9 +118,9 @@ def _bulk_ingest(data: bytes, path):
     file, read in bulk; None if it is not plain (UTF-8 without quotes or
     carriage returns, the header on its first line) or has no data row.
 
-    A chunk _read_columns leaves (an inner blank line, a row of another
-    cell count, a needed cell float() rejects) is split into lines, read
-    by the csv module as the row scan reads them, and converted by _convert.
+    A chunk _read_columns leaves (a line of spaces, a row of another cell
+    count, a needed cell float() rejects) is split into lines, read by the
+    csv module as the row scan reads them, and converted by _convert.
     """
     if data[-2:-1].isspace():  # blank lines at the end number no row; one "\n" needs no copy
         data = data.rstrip()
@@ -138,12 +138,12 @@ def _bulk_ingest(data: bytes, path):
         return None
     names, need = found
     parts, blanks, rows = [], [], 0  # blanks: the body rows before each blank line
-    for lo, hi, x in _read_columns(data, end + 1, len(heads), need):
+    for lo, hi, x, blank in _read_columns(data, end + 1, len(heads), need):
         if x is None:
             lines = data[lo:hi].decode("utf-8").removesuffix("\n").split("\n")
             body, blank = _nonblank(path, lines, 2 + rows + len(blanks))
-            blanks += [rows + b for b in blank]
             x = _convert(path, body, names, need)
+        blanks += [rows + b for b in blank]
         rows += x.shape[1]
         parts.append(x)
     if not rows:
@@ -581,10 +581,14 @@ def _decimals(buf, win, e, L):
 
 
 def _read_columns(data: bytes, start: int, ncols: int, need):
-    """Yield (lo, hi, x) for each chunk data[lo:hi] of whole lines of the
-    body data[start:]: x the cells of columns need, one row of ncols cells
-    a line, as a (len(need), rows) float array; None if a line has another
-    cell count (an empty line included) or float() rejects a needed cell."""
+    """Yield (lo, hi, x, blank) for each chunk data[lo:hi] of whole lines of
+    the body data[start:]: x the cells of columns need, one row of ncols
+    cells a line, as a (len(need), rows) float array, and blank, for each
+    empty line, the count of rows before it in the chunk. x is None if a
+    line has another cell count (a line of spaces included) or float()
+    rejects a needed cell; with one column an empty line is an empty cell.
+    Empty lines are looked for only in a chunk whose separators do not
+    make whole rows, so a chunk without one costs nothing more."""
     buf = np.zeros(0, dtype=np.uint8)
     hi = start
     while hi < len(data):
@@ -603,10 +607,20 @@ def _read_columns(data: bytes, start: int, ncols: int, need):
         prev[0] = _CELL - 1
         prev[1:] = sep[:-1]
         kinds = c.take(sep)
-        if (sep.size % ncols or (kinds.reshape(-1, ncols)[:, -1] != 10).any()
-                or np.count_nonzero(kinds == 10) != sep.size // ncols):
-            yield lo, hi, None
-            continue
+        blank = []
+        if not _whole_rows(kinds, ncols):
+            # empty lines: a line end at the chunk's start or after a line end
+            ends = kinds == 10
+            empty = ends & (c.take(sep - 1) == 10)
+            empty[0] = ends[0] and sep[0] == _CELL
+            sep, prev, kinds = sep[~empty], prev[~empty], kinds[~empty]
+            if not empty.any() or not _whole_rows(kinds, ncols):
+                yield lo, hi, None, blank
+                continue
+            blank = np.cumsum(ends & ~empty)[empty].tolist()
+            if not sep.size:  # empty lines only
+                yield lo, hi, np.empty((len(need), 0)), blank
+                continue
         e = sep.reshape(-1, ncols)[:, need].T.ravel()
         L = e - 1 - prev.reshape(-1, ncols)[:, need].T.ravel()
         x, ok = _decimals(c, win, e, L)
@@ -615,7 +629,14 @@ def _read_columns(data: bytes, start: int, ncols: int, need):
                 x[i] = float(c[e[i] - L[i]:e[i]].tobytes())
         except ValueError:
             x = None
-        yield lo, hi, None if x is None else x.reshape(len(need), -1)
+        yield lo, hi, None if x is None else x.reshape(len(need), -1), blank
+
+
+def _whole_rows(kinds, ncols: int) -> bool:
+    """Whether the separators kinds (44 a comma, 10 a line end) of whole
+    lines end a line after every ncols cells and nowhere else."""
+    return not (kinds.size % ncols or (kinds.reshape(-1, ncols)[:, -1] != 10).any()
+                or np.count_nonzero(kinds == 10) != kinds.size // ncols)
 
 
 def _cells(values: np.ndarray) -> List[str]:

@@ -40,42 +40,56 @@ _NODE_LOG = np.log(_NODES)
 _WEIGHTS = np.concatenate((_COARSE[3], _FINE[3]))
 
 
-# times per contour pass: (128 x 90) complex node arrays of 184 KB. That
-# bounds memory on long grids and stays below numpy's 256 KiB threshold
-# for reusing temporaries in place, whose swapped operands would move the
-# last bit of a transform such as 1 / (s G(s)) away from the value that
-# a one-time grid gives.
+# times per contour pass: (128 x 90) complex node arrays of 184 KB, which
+# bound memory on long grids. _bromwich allocates its block arrays once
+# per call and writes every block into them, so the C allocator does not
+# hand them back to the kernel and fault them in again block by block.
 _T_BLOCK = 128
 
 
-def _rule_sums(values, t):
+def _block_work(n: int):
+    """The block arrays of _rule_sums for up to n times: the nodes s and
+    the sizes of the fine rule's terms."""
+    return np.empty((n, _NODES.size), complex), np.empty((n, _NODES.size - _SPLIT))
+
+
+def _rule_sums(values, t, work=None):
     """The coarse and the fine rule's sums for a real-symmetric f at each
     time of t, and the fine sums' rounding bounds 4 eps sum |term|. Each
-    time t keeps its own parabola, the nodes _NODES / t. values(s) gives
-    the transform at an (n_t x nodes) array s of upper-half nodes; each
-    term is the real part of weight * f(s)."""
+    time t keeps its own parabola, the nodes _NODES / t. values(s, t)
+    gives the transform at an (n_t x nodes) array s of upper-half nodes,
+    t the (n_t x 1) column of their times, as a complex array of the shape
+    of s that the terms then overwrite; each term is the real part of
+    weight * f(s). work holds the block arrays (from _block_work, with at
+    least n_t rows); fresh ones are allocated without it."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
+    s, size = (w[:t.size] for w in work or _block_work(t.size))
     with np.errstate(all="ignore"):
-        g = _WEIGHTS * values(_NODES / t)
+        np.multiply(_NODES, 1.0 / t, out=s)  # _NODES / t bit for bit, at half the cost
+        g = values(s, t)
+        np.multiply(_WEIGHTS, g, out=g)
         # the real parts of complex sums and quotients, which round as the
         # sums over each node and its conjugate did: numpy sums the real
         # parts of a complex row in another order than a real row, and
         # divides a complex by t as a product with 1 / t
         coarse, fine = (np.add.reduceat(g, (0, _SPLIT), axis=1) / t).real.T
-        return coarse, fine, 4.0 * math.ulp(1.0) * np.abs(g.real[:, _SPLIT:]).sum(axis=1) / t[:, 0]
+        np.abs(g.real[:, _SPLIT:], out=size)
+        return coarse, fine, 4.0 * math.ulp(1.0) * size.sum(axis=1) / t[:, 0]
 
 
 def _bromwich(values, t, tol: float) -> np.ndarray:
     """invert at every time of the 1-D array t, for a real-symmetric
-    transform that takes an (n_t x nodes) array of upper-half nodes at
-    once. The times are summed in blocks of _T_BLOCK, so memory stays
-    bounded on long grids; the first uncertified time in grid order
-    raises ConvergenceError."""
+    transform values(s, t) that takes an (n_t x nodes) array of
+    upper-half nodes and the column of their times at once (see
+    _rule_sums). The times are summed in blocks of _T_BLOCK, so memory
+    stays bounded on long grids; the first uncertified time in grid
+    order raises ConvergenceError."""
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty(t.size)
+    work = _block_work(min(t.size, _T_BLOCK))
     for i in range(0, out.size, _T_BLOCK):
         block = t[i:i + _T_BLOCK]
-        coarse, value, rounding = _rule_sums(values, block)
+        coarse, value, rounding = _rule_sums(values, block, work)
         with np.errstate(all="ignore"):  # a non-finite sum is refused below
             drift = (np.abs(coarse - value) + rounding) / np.maximum(np.abs(value), 1e-300)
         bad = ~(np.isfinite(value) & (drift <= 10.0 * tol))
@@ -104,12 +118,12 @@ def invert(transform, t: float, tol: float = 1e-8) -> float:
     _positive(t, "inversion time")
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
-    s = _NODES / t
     with np.errstate(all="ignore"):  # a non-finite residue is refused below
+        s = _NODES / t  # past double range at a subnormal t
         v = np.fromiter((transform(complex(x)) for x in np.concatenate((s, s.conj()))),
                         complex, 2 * s.size)
         f, g = v[:s.size], v[s.size:].conj()
-        value = float(_bromwich(lambda nodes: 0.5 * (f + g).reshape(nodes.shape), [t], tol)[0])
+        value = float(_bromwich(lambda s, _: 0.5 * (f + g).reshape(s.shape), [t], tol)[0])
         anti = (_WEIGHTS * (0.5 * (f - g)))[_SPLIT:].imag.sum() / t
         residue = abs(anti) / max(abs(value), 1e-300)
     if not residue < tol:

@@ -21,7 +21,7 @@ from .errors import (BranchError, DomainError, GridError, QuadratureError, Stabi
                      _in_range, _positive)
 from .fracops import (SignalSeries, _causal_convolve, _grid_break, _order, gl_derivative,
                       gl_weights)
-from .laplace import _bromwich
+from .laplace import _NODES, _bromwich
 from .special import RabotnovParams, _ml_grid, _rgamma, gamma
 
 _INVERT_TOL = 1e-8  # certification level for runtime transform inversion
@@ -317,15 +317,17 @@ def _operator_terms(m: MaterialModel):
     return m._operator_terms()
 
 
-def _ratio(lhs, rhs, s):
-    # D^nu -> s^nu at an array of s, each power exp(nu log s) from one
-    # logarithm; numpy forms orders 0, 1/2 and 1 without one (ones, sqrt,
-    # a copy), so those stay s**nu
+def _powers(s):
+    """nu -> s^nu at an array of s, each power exp(nu log s) from one
+    logarithm; numpy forms orders 0, 1/2 and 1 without one (ones, sqrt, a
+    copy), so those stay s**nu."""
     log_s = np.log(s)
+    return lambda nu: s**nu if nu in (0.0, 0.5, 1.0) else np.exp(nu * log_s)
 
-    def power(nu):
-        return s**nu if nu in (0.0, 0.5, 1.0) else np.exp(nu * log_s)
 
+def _ratio(lhs, rhs, s):
+    # D^nu -> s^nu at an array of s
+    power = _powers(s)
     num, den = 0.0, 1.0
     for c, nu in rhs:
         num += c * power(nu)
@@ -364,28 +366,57 @@ def _time_grid(t_grid) -> np.ndarray:
 
 def relaxation_modulus(m: MaterialModel, t_grid) -> MaterialResponse:
     """Stress response to a unit step strain, sampled at t_grid."""
-    return _step_response(m, t_grid, "relaxation", lambda g, s: g / s)
+    return _step_response(m, t_grid, "relaxation")
 
 
 def creep_compliance(m: MaterialModel, t_grid) -> MaterialResponse:
     """Strain response to a unit step stress, sampled at t_grid."""
-    return _step_response(m, t_grid, "creep", lambda g, s: 1.0 / (s * g))
+    return _step_response(m, t_grid, "creep")
 
 
-def _step_response(m: MaterialModel, t_grid, kind: str, transform) -> MaterialResponse:
-    """The model's closed form of kind, else the inverse of transform(G(s), s)."""
+def _step_response(m: MaterialModel, t_grid, kind: str) -> MaterialResponse:
+    """The model's closed form of kind, else the inverse of its step transform."""
     t = _time_grid(t_grid)
     lhs, rhs = _operator_terms(m)
     closed = m._relaxation if kind == "relaxation" else m._creep
-    # the parabolas' nodes avoid s = 0 and the branch cut: no
-    # transfer_function checks, and _ratio takes a whole block of nodes;
     # a closed form may overflow, and MaterialResponse refuses what it leaves
     # non-finite, so numpy need not warn; _bromwich refuses a non-finite sum
     # on its own
     with np.errstate(all="ignore"):
-        v = closed(t) if closed else _bromwich(
-            lambda s: transform(_ratio(lhs, rhs, s), s), t, _INVERT_TOL)
+        v = closed(t) if closed else _bromwich(_step_transform(lhs, rhs, kind), t, _INVERT_TOL)
     return MaterialResponse(kind, t, v)
+
+
+def _step_transform(lhs, rhs, kind: str):
+    """The transform values(s, t) that _bromwich inverts: G(s) / s for
+    relaxation, 1 / (s G(s)) for creep, at a block of nodes s = _NODES / t.
+
+    The parabolas' nodes avoid s = 0 and the branch cut, so no
+    transfer_function checks. Each term is c s^nu = (c s_k^nu) t^-nu: the
+    node factors once per call, one real power per time and one product
+    per node and time, where exp(nu log s) would take a complex logarithm
+    and exponential at each. The block's arrays are allocated at the
+    first block, the largest, and reused by the rest.
+    """
+    power = _powers(_NODES)
+    sides = [[(c * power(nu), -nu) for c, nu in terms] for terms in (rhs, lhs)]
+    work = []
+
+    def values(s, t):
+        if not work:
+            work.extend(np.empty((3,) + s.shape, complex))
+        num, den, term = (w[:len(s)] for w in work)
+        num.fill(0.0)
+        den.fill(1.0)
+        for acc, side in zip((num, den), sides):
+            for factor, p in side:
+                acc += np.multiply(factor, t**p, out=term)
+        g = np.divide(num, den, out=num)
+        if kind == "relaxation":
+            return np.divide(g, s, out=g)
+        return np.divide(1.0, np.multiply(s, g, out=g), out=g)
+
+    return values
 
 
 def complex_modulus(m: MaterialModel, omega_grid) -> MaterialResponse:

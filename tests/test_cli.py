@@ -345,13 +345,14 @@ def test_ingest_plain_signal_takes_the_bulk_path(tmp_path):
 
 
 @pytest.mark.parametrize("text,split", [("t,value\n0,1\n1,2\n\n", 0),
-                                        ("t,value\n\n0,1\n\n\n1,2", 1),
+                                        ("t,value\n\n0,1\n\n\n1,2", 0),
                                         ("t,value\n0,1\n1,2\n  \n", 0),
                                         ("t,value\n0,1\n\t\n1,2\n", 1)],
                          ids=["trailing", "leading and inner", "trailing spaces", "inner tab"])
 def test_bulk_ingest_skips_empty_lines_as_the_row_scan_does(tmp_path, text, split):
-    # blank lines at the end are dropped before the kernel reads; an inner
-    # one sends its chunk to the line-by-line read, not the file to the row scan
+    # blank lines at the end are dropped before the kernel reads; the kernel
+    # skips inner empty lines, and an inner line of spaces sends its chunk
+    # to the line-by-line read, not the file to the row scan
     path = write(tmp_path / "blank.csv", text)
     assert bulk_tokens(path)[-1] == split
     assert ingest_outcome(path) == row_scan_outcome(path)
@@ -479,7 +480,7 @@ def test_malformed_creep_file_is_one_format_line(tmp_path, capsys, data, message
 def read_columns(data):
     """The chunks _read_columns yields for one column past the header "x",
     joined, or None if a chunk was left to the line-by-line read."""
-    parts = [x for _, _, x in cli._read_columns(data, 2, 1, [0])]
+    parts = [x for _, _, x, _ in cli._read_columns(data, 2, 1, [0])]
     return None if any(x is None for x in parts) else np.concatenate(parts, axis=1)
 
 
@@ -628,6 +629,48 @@ def test_late_fault_after_blank_lines_names_its_line(tmp_path, fault, message):
     # row 12 000 from line 12 002 to line 12 005
     path = write(tmp_path / "late.csv", late_blank_lines(fault))
     assert ingest_outcome(path) == ("FormatError", f"{path} {message}")
+
+
+def inner_empty_lines(fault=None):
+    """A 15 000-row signal file (four chunks) with empty lines before body
+    rows 0, 3000, 7000 and 11 000, and fault, if any, in place of the row
+    t = 12 000."""
+    rows = [f"{k},{k * 1e-3!r}" for k in range(15000)]
+    if fault:
+        rows[12000] = fault
+    for k in (11000, 7000, 3000, 0):
+        rows[k:k] = [""]
+    return "t,value\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("fault", [None, "11999.5,1"], ids=["empty lines only", "then a break"])
+def test_bulk_ingest_reads_past_inner_empty_lines(tmp_path, fault):
+    # the kernel skips the empty lines of three chunks: no chunk is left to
+    # the line-by-line read
+    path = write(tmp_path / "empty.csv", inner_empty_lines(fault))
+    assert bulk_tokens(path) == (("t", "value"), (2, 15000), 3, 15005, 0)
+    assert ingest_outcome(path) == row_scan_outcome(path)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("11999.5,1", "line 12006: grid step 0.5 breaks uniform spacing 1"),
+    ("12000,oops", "line 12006: non-numeric value value 'oops'"),
+])
+def test_fault_after_inner_empty_lines_names_its_line(tmp_path, fault, message):
+    # four empty lines, three of them skipped by the kernel, push body row
+    # 12 000 from line 12 002 to line 12 006, in bulk and line by line alike
+    path = write(tmp_path / "empty.csv", inner_empty_lines(fault))
+    assert ingest_outcome(path) == ("FormatError", f"{path} {message}")
+
+
+def test_bulk_reader_reports_each_empty_line():
+    # each empty line gives the count of rows before it in its chunk; a
+    # chunk of empty lines only gives no rows
+    data = b"t,v\n\n1,1\n2,2\n\n\n3,3\n"
+    [(_, _, x, blank)] = cli._read_columns(data, 4, 2, [0, 1])
+    assert x.tolist() == [[1.0, 2.0, 3.0]] * 2 and blank == [0, 2, 2]
+    [(_, _, x, blank)] = cli._read_columns(b"t,v\n\n\n", 4, 2, [0, 1])
+    assert x.shape == (2, 0) and blank == [0, 0]
 
 
 # -------------------------------------------------------------- round trips

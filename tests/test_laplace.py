@@ -56,7 +56,7 @@ def test_exponential_family_certified_range():
 
 
 def test_refinement_is_monotone():
-    coarse, fine, _ = (v.real for v in _rule_sums(lambda s: 1.0 / (1.0 + s), 1.0))
+    coarse, fine, _ = (v.real for v in _rule_sums(lambda s, t: 1.0 / (1.0 + s), 1.0))
     want = math.exp(-1.0)
     assert abs(fine - want) <= abs(coarse - want)
     assert abs(fine - want) <= abs(coarse - fine)

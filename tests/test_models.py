@@ -268,15 +268,60 @@ def test_poynting_grid_matches_pointwise_inversion():
         assert_allclose(response(m, t).values, want, rtol=1e-13, atol=0.0)
 
 
+def _certified(f, *args):
+    """f(*args), or None where it raises ConvergenceError."""
+    try:
+        return f(*args)
+    except ConvergenceError:
+        return None
+
+
+def _assert_certification_parity(m, t):
+    # the grid path certifies the times invert certifies on the transfer
+    # function, and their values agree; a refused grid is tried time by time
+    for response, transform in ((relaxation_modulus, lambda s: transfer_function(m, s) / s),
+                                (creep_compliance, lambda s: 1 / (s * transfer_function(m, s)))):
+        want = [_certified(invert, transform, float(tk)) for tk in t]
+        got = _certified(lambda: response(m, t).values.tolist()) or [
+            _certified(lambda: response(m, [tk]).values[0]) for tk in t]
+        assert [v is None for v in got] == [v is None for v in want], (m, t, response.__name__)
+        both = [(g, w) for g, w in zip(got, want) if g is not None and w is not None]
+        if both:
+            assert_allclose(*zip(*both), rtol=1e-11, atol=0.0)
+
+
+def test_poynting_grid_certifies_as_pointwise_inversion():
+    # 200 seeded models, 0 <= gamma <= alpha <= beta <= 1 and log-uniform
+    # moduli and lam, each on a log grid of 2 times inside [1e-6, 1e6]
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        g, a, b = np.sort(rng.uniform(0.0, 1.0, 3)).tolist()
+        E, E0, lam = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3)).tolist()
+        lo, hi = np.sort(rng.uniform(math.log(1e-6), math.log(1e6), 2)).tolist()
+        _assert_certification_parity(PoyntingThomson(E, E0, lam, a, b, g),
+                                     np.exp(np.linspace(lo, hi, 2)))
+
+
+def test_poynting_grid_certifies_as_pointwise_inversion_at_extreme_times():
+    # at 1e-310 the nodes leave double range and both refuse; at 1e-300 and
+    # 1e200 creep's transform under- or overflows at some nodes and both
+    # refuse it, while relaxation certifies there
+    _assert_certification_parity(PoyntingThomson(2.0, 3.0, 1.5, 0.6, 0.8, 0.2),
+                                 np.array([1e-310, 1e-300, 1e-200, 1e200]))
+
+
 def test_inverted_grid_takes_each_upper_half_node_once(monkeypatch):
     # the models' transforms are real-symmetric, so the conjugate nodes
-    # would only repeat the upper half's values
+    # would only repeat the upper half's values; each block's nodes are
+    # _NODES / t at its times
     seen = []
 
     def counting(values, t, tol):
-        def wrapped(s):
-            seen.append(s)
-            return values(s)
+        def wrapped(s, t):
+            assert s.shape == (t.size, laplace._NODES.size)
+            assert np.array_equal(s, laplace._NODES / t)
+            seen.append(s.copy())
+            return values(s, t)
         return laplace._bromwich(wrapped, t, tol)
 
     monkeypatch.setattr(models, "_bromwich", counting)
@@ -295,7 +340,7 @@ def test_inverted_grid_names_its_first_uncertified_time():
     t = np.geomspace(0.1, 10.0, 300)
     bad_nodes = laplace._NODES[0] / t[[150, 280]]  # each row's first node
 
-    def transform(s):
+    def transform(s, t):
         v = 1.0 / (s + 1.0)
         v[np.isin(s[:, 0], bad_nodes)] = math.nan
         return v
@@ -687,6 +732,9 @@ def test_power_law_strain_domain():
         nutting_strain(1.0, 1.0, 0.5, 1.0, [0.0, 1.0, 3.0])
     with pytest.raises(DomainError):
         nutting_strain(-1.0, 1.0, 0.5, 1.0, [0.0, 1.0])
+    for grid in ([1.0], [[0.0, 1.0, 2.0]]):  # one sample; a 2-d grid
+        with pytest.raises(GridError, match="^need a uniform grid with at least 2 samples$"):
+            nutting_strain(1.0, 1.0, 0.5, 1.0, grid)
 
 
 def test_stress_relaxation_time_values():
@@ -736,6 +784,9 @@ def test_response_validation():
         MaterialResponse("relaxation", [0.0, 1.0], [1.0, 2.0])
     with pytest.raises(DomainError):
         MaterialResponse("relaxation", [1.0, 2.0], [1.0])
+    for x in (1.0, [[1.0, 2.0]]):  # 0-d and 2-d abscissae
+        with pytest.raises(DomainError, match="^response abscissae must form a 1-d array$"):
+            MaterialResponse("relaxation", x, x)
     r = MaterialResponse("creep", [1.0, 2.0], [0.5, 0.7])
     with pytest.raises(AttributeError):
         r.kind = "relaxation"

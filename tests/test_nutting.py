@@ -111,6 +111,8 @@ def test_record_and_fit_validation():
     with pytest.raises(DomainError):
         NuttingFit(psi=1.0, alpha=0.5, beta_exp=1.0,
                    rms_log_residual=0.0, n_points=2)
+    with pytest.raises(DomainError, match="^rms residual cannot be negative$"):
+        NuttingFit(psi=1.0, alpha=0.5, beta_exp=1.0, rms_log_residual=-1e-300, n_points=5)
 
 
 @pytest.mark.parametrize("cols,message", [
