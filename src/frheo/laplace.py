@@ -112,16 +112,22 @@ def invert(transform, t: float, tol: float = 1e-8) -> float:
     value only if it is finite, its drift from the coarse rule plus its
     rounding bound is within 10*tol*|value| and its imaginary residue,
     the fine sum of the antisymmetric part 0.5 (f(s) - conj f(conj s)),
-    is below tol*|value|. Raises ConvergenceError otherwise: a declined
-    point, never a silently wrong one.
+    is below tol*|value|. Raises ConvergenceError otherwise, and also when
+    the transform raises an ArithmeticError at a node (a complex division
+    by zero once it underflows at a large t): a declined point, never a
+    silently wrong one.
     """
     _positive(t, "inversion time")
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
     with np.errstate(all="ignore"):  # a non-finite residue is refused below
         s = _NODES / t  # past double range at a subnormal t
-        v = np.fromiter((transform(complex(x)) for x in np.concatenate((s, s.conj()))),
-                        complex, 2 * s.size)
+        try:
+            v = np.fromiter((transform(complex(x)) for x in np.concatenate((s, s.conj()))),
+                            complex, 2 * s.size)
+        except ArithmeticError as e:
+            raise ConvergenceError(f"contour sum at t={t} is not certified: the transform "
+                                   f"raised {type(e).__name__} ({e}) at a node") from None
         f, g = v[:s.size], v[s.size:].conj()
         value = float(_bromwich(lambda s, _: 0.5 * (f + g).reshape(s.shape), [t], tol)[0])
         anti = (_WEIGHTS * (0.5 * (f - g)))[_SPLIT:].imag.sum() / t

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -282,14 +283,17 @@ class MaterialResponse:
 
     __slots__ = ("kind", "abscissae", "values")
 
-    def __init__(self, kind: str, abscissae, values):
+    def __init__(self, kind: str, abscissae, values, *, _grid_checked: bool = False):
+        # _grid_checked: the abscissae come from _time_grid, which the
+        # response functions run before they compute, so it is not run again
         if kind not in _RESPONSE_KINDS:
             raise DomainError(f"unknown response kind {kind!r}")
         x = np.array(abscissae, dtype=float)
         v = np.asarray(values, dtype=complex if kind == "complex" else float).copy()
         if x.ndim != 1:
             raise DomainError("response abscissae must form a 1-d array")
-        _time_grid(x)
+        if not _grid_checked:
+            _time_grid(x)
         if v.shape != x.shape:
             raise DomainError("values and abscissae lengths must match")
         _in_range(v, x, f"{kind} value")
@@ -384,7 +388,7 @@ def _step_response(m: MaterialModel, t_grid, kind: str) -> MaterialResponse:
     # on its own
     with np.errstate(all="ignore"):
         v = closed(t) if closed else _bromwich(_step_transform(lhs, rhs, kind), t, _INVERT_TOL)
-    return MaterialResponse(kind, t, v)
+    return MaterialResponse(kind, t, v, _grid_checked=True)
 
 
 def _step_transform(lhs, rhs, kind: str):
@@ -427,7 +431,7 @@ def complex_modulus(m: MaterialModel, omega_grid) -> MaterialResponse:
     w = _time_grid(omega_grid)  # omega > 0 keeps s off 0 and the negative axis
     with np.errstate(all="ignore"):
         g = _ratio(*_operator_terms(m), 1j * w)
-    return MaterialResponse("complex", w, g)
+    return MaterialResponse("complex", w, g, _grid_checked=True)
 
 
 def _toeplitz_solve(col: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -543,8 +547,11 @@ def rabotnov_stress(p: RabotnovParams, E: float, strain: SignalSeries) -> Signal
         return SignalSeries(0.0, strain.dt, E * vals)
     n = len(strain)
     ap1 = p.alpha + 1.0
-    # running kernel integral over [0, k*dt]; Python's pow (numpy's rounds differently)
-    args = [-p.beta * (k * strain.dt)**ap1 for k in range(1, n)]
+    # running kernel integral over [0, k*dt], at arguments -beta (k dt)^(alpha+1)
+    # from libm's pow: np.power's AVX-512 loop rounds differently (49 of 1000
+    # values differed)
+    times = (strain.dt * np.arange(1, n)).tolist()
+    args = -p.beta * np.array(list(map(math.pow, times, repeat(ap1))))
     step = np.diff(np.concatenate(([0.0], 1.0 - _ml_grid(ap1, 1.0, args))))
     avg = 0.5 * (vals[:-1] + vals[1:])
     memory = _causal_convolve(step, avg)

@@ -87,7 +87,9 @@ class NuttingFit:
     def __post_init__(self):
         if not (self.psi > 0 and math.isfinite(self.psi)):
             raise DomainError(f"psi must be positive, got {self.psi}")
-        if not (self.rms_log_residual >= 0):
+        if math.isnan(self.rms_log_residual):
+            raise DomainError("rms residual must be a number, got nan")
+        if self.rms_log_residual < 0:
             raise DomainError("rms residual cannot be negative")
         if self.n_points < 3:
             raise DomainError("a fit needs at least 3 points")

@@ -3,10 +3,13 @@ fractional-exponential relaxation kernel.
 
 Everything here is real-in/real-out and pure. Every Mittag-Leffler
 value, at one argument or on a grid, takes one route order: for
-alpha < 2 and |z| >= 1e-8 a vectorised double-precision Bromwich
-integral on frheo.laplace's parabola node table, where z has a pole
-that integral again with the pole subtracted, then the power series,
-on the negative axis the algebraic asymptotic series, and last an
+alpha < 2, first the power series summed by Horner's rule over the
+band |z|**(1/alpha) <= 4 of the grid (for beta >= 0, where it needs at
+most 90 terms), then for the rest with |z| >= 1e-8 a vectorised
+double-precision Bromwich integral on frheo.laplace's parabola node
+table, where z has a pole that integral again with the pole
+subtracted, then per point the compensated power series, on the
+negative axis the algebraic asymptotic series, and last an
 extended-precision series in mpmath. A route is accepted only when its
 internally estimated relative error clears the accuracy target: 1e-10
 for |z| <= 50, 1e-6 beyond, with an order of magnitude of headroom.
@@ -403,11 +406,103 @@ def _ml_point(a: float, b: float, z: float) -> float:
     return v
 
 
+# The power series serves the band |z|**(1/alpha) <= _BAND_U, where its
+# terms peak at a gamma argument of about _BAND_U and barely cancel. Its
+# gamma arguments stay at most _GAMMA_ARG_MAX, where 1/Gamma is still a
+# normal double whose error the coefficient term bounds.
+_BAND_U = 4.0
+_GAMMA_ARG_MAX = 171.0
+
+
+def _band_series(a: float, b: float):
+    """Horner's coefficient pairs, highest degree first, of the power
+    series that serves the band |z| <= 4**a of E_{a,b}, or None where the
+    band is skipped.
+
+    Pair k < K is c_k = 1/Gamma(a k + b) and the weight (g + e_k) |c_k|
+    of the error bound: g = gamma_2K bounds the rounding of Horner's rule
+    (Higham, Accuracy and Stability, 5.1) and e_k is _taylor's
+    coefficient error at the gamma argument a k + b. Pair K is 0 and
+    2 |c_K|. K is the first count at which the band edge's first omitted
+    term is below eps times the sum of the terms before it and the next
+    term is at most half of it; log-convexity of Gamma makes the term
+    ratios fall with k, so twice the first omitted term bounds the tail
+    everywhere in the band. K depends on (a, b) alone, so a point gets
+    the same bits in any grid. K is at most the contour's 90 nodes: the
+    band is skipped when the ratio at 90 is above 1/2, and K = 90 should
+    the sum condition still be unmet there (no (a, b) was found that
+    leaves it so). The band is also skipped when a gamma argument would
+    pass _GAMMA_ARG_MAX, and for b < 0, where a k + b may lie next to a
+    pole of Gamma and the coefficient term would not bound its rounding.
+    """
+    edge, cap = _BAND_U**a, _NODES.size
+    # the term ratio falls with k, so one above 1/2 at the cap rules the
+    # band out before any coefficient is formed
+    if b < 0.0 or a + b > _GAMMA_ARG_MAX or edge * math.exp(
+            math.lgamma(a * cap + b) - math.lgamma(a * (cap + 1) + b)) > 0.5:
+        return None
+    gamma_ = math.gamma  # a k + b > 0 past k = 0: no pole
+    c = [_rgamma(b), 1.0 / gamma_(a + b)]
+    # the edge terms' sum below k, edge**k, and |c_k|
+    total, power, size = abs(c[0]), 1.0, abs(c[1])
+    for k in range(1, cap + 1):
+        x = a * (k + 1) + b
+        if x > _GAMMA_ARG_MAX:
+            return None
+        c.append(1.0 / gamma_(x))
+        power *= edge
+        term, size_next = size * power, abs(c[-1])
+        if term <= _EPS * total and edge * size_next <= 0.5 * size:
+            break
+        total += term
+        size = size_next
+    pairs = np.empty((k + 1, 2))
+    pairs[:, 0] = c[k::-1]
+    np.abs(pairs[:, 0], out=pairs[:, 1])
+    pairs[0] = 0.0, 2.0 * pairs[0, 1]
+    x = a * np.arange(k - 1, -1, -1) + b  # a * j + b, as the loop forms it
+    e = 4.0 + 1.5 * x * np.array(list(map(math.log, (x + 2.0).tolist())))
+    pairs[1:, 1] *= k * _EPS / (1.0 - k * _EPS) + _EPS * e  # gamma_2K with unit roundoff eps / 2
+    return pairs
+
+
+def _ml_series(pairs, z) -> np.ndarray:
+    """The band series' values and error bounds at a 1-D array z, as the
+    rows of a (2, len(z)) array. One Horner recurrence carries both, the
+    bound's row on |z|: in numpy over the array, or point by point in
+    Python floats for up to 12 points, where 2K numpy calls would cost
+    more than the sums. Up to 256 points, each pair is repeated along the
+    array, since numpy adds arrays of one shape in about two thirds of
+    the time it takes to broadcast a column on such short rows; past
+    that the column keeps the memory bounded. All take the same
+    operations in the same order, so they give the same bits."""
+    if z.size > 12:
+        zz = np.stack((z, np.abs(z)))
+        v = np.zeros_like(zz)
+        cws = pairs[:, :, None]
+        for cw in np.repeat(cws, z.size, axis=2) if z.size <= 256 else cws:
+            v *= zz
+            v += cw
+        return v
+    v = np.empty((2, z.size))
+    pairs = pairs.tolist()
+    for i, x in enumerate(z.tolist()):
+        s = m = 0.0
+        ax = abs(x)
+        for c, w in pairs:
+            s = s * x + c
+            m = m * ax + w
+        v[:, i] = s, m
+    return v
+
+
 # Below this |z| the power series converges in three terms, while the
 # contour's relative rounding of about 4e-16 may exceed the distance
 # |z| / Gamma(alpha + beta) of the value from E(0) = 1/Gamma(beta): it
 # returned E_{0.5,1}(-1e-80) = 1.0000000000000004. From 1e-8 on that
-# distance is far above the contour's tight level.
+# distance is far above the contour's tight level. The band's series
+# serves such z where it runs; where it is skipped (alpha below about
+# 0.34, or beta < 0) this bound still keeps them off the contour.
 _TINY_Z = 1e-8
 
 
@@ -415,25 +510,38 @@ def _ml_grid(alpha: float, beta: float, args) -> np.ndarray:
     """E_{alpha,beta} at every z of a 1-D grid, within ml_eval's contract.
 
     Unless alpha >= 2 or (alpha, beta) = (1, 1), which keeps its exact
-    exp, every finite z with |z| >= _TINY_Z goes through one contour
-    pass, which keeps a value that clears the tight level and lies below
-    1e307, short of _ml_point's overflow guard; the refused points with
-    a pole get a second pass with the poles subtracted, under the same
-    rule. _ml_point takes the rest in grid order.
+    exp, the finite z of the band |z|**(1/alpha) <= 4 go through one
+    vectorised power series (_band_series), and every other finite z
+    with |z| >= _TINY_Z through one contour pass. Each keeps a value
+    whose error bound clears the tight level and which lies below 1e307,
+    short of _ml_point's overflow guard; the points the series refuses
+    join the contour pass, and the points it refuses with a pole get a
+    second pass with the poles subtracted, under the same rule.
+    _ml_point takes the rest in grid order.
     """
     MLParams(alpha, beta)
     z = np.array(args, dtype=float)
     out = np.full(z.shape, math.nan)
     if alpha < 2.0 and (alpha, beta) != (1.0, 1.0):
-        idx = np.flatnonzero(np.isfinite(z) & (np.abs(z) >= _TINY_Z))
+        mag = np.abs(z)
+        band = np.flatnonzero(mag <= _BAND_U**alpha)
+        pairs = _band_series(alpha, beta) if band.size else None
+        idx = np.flatnonzero(np.isfinite(z) & (mag >= _TINY_Z))
+        if pairs is not None:
+            value, bound = _ml_series(pairs, z[band])
+            size = np.abs(value)
+            # |z| <= 4**alpha < 16 in the band: the tight level of |z| <= 50
+            keep = (size < 1e307) & (bound <= _TIGHT[1] * size)
+            out[band[keep]] = value[keep]
+            idx = idx[np.isnan(out[idx])]
         for subtract in (False, True):
+            if not idx.size:
+                break
             value, est = _ml_contour(alpha, beta, z[idx], subtract)
             keep = (np.abs(value) < 1e307) & (est <= _tight(z[idx]))
             out[idx[keep]] = value[keep]
             # the second try takes the refused points that have a pole
             idx = idx[~keep & ((z[idx] > 0.0) | (alpha > 1.0))]
-            if not idx.size:
-                break
     for i in np.flatnonzero(np.isnan(out)):
         out[i] = _ml_point(alpha, beta, float(z[i]))
     return out
@@ -444,9 +552,10 @@ def ml_eval(p: MLParams, z: float) -> float:
 
     Relative error <= 1e-10 for |z| <= 50 and <= 1e-6 elsewhere. A
     one-point grid, so equal bit for bit to any grid's value at z; its
-    routes, in order: for alpha < 2 and |z| >= 1e-8 the contour
-    integral, where z has a pole that integral again with the pole
-    subtracted, the power series, for z < 0 and alpha < 2 the algebraic
+    routes, in order: for alpha < 2 the band's power series where
+    |z|**(1/alpha) <= 4, then for |z| >= 1e-8 the contour integral,
+    where z has a pole that integral again with the pole subtracted, the
+    compensated power series, for z < 0 and alpha < 2 the algebraic
     asymptotic series, and the extended-precision series. Raises
     DomainError for a non-finite z and OverflowError when the value
     leaves double range, as the exp(z**(1/alpha)) growth on the

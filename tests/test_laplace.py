@@ -86,6 +86,21 @@ def test_non_finite_contour_sum_rejected(bad):
         invert(lambda s: bad, 1.0)
 
 
+def test_arithmetic_error_of_the_transform_is_refused():
+    # a transform that fails at a node declines the point and names t;
+    # any other exception is the caller's and passes through
+    def underflowing(s):
+        return 1.0 / (s * complex(0.0 if abs(s) < 1e-290 else 1.0))
+
+    with pytest.raises(ConvergenceError, match=r"^contour sum at t=1e\+300 is not certified: "
+                       r"the transform raised ZeroDivisionError \(complex division by zero\) "
+                       r"at a node$"):
+        invert(underflowing, 1e300)
+    assert invert(underflowing, 1.0) == pytest.approx(1.0, rel=1e-8)
+    with pytest.raises(TypeError):
+        invert(lambda s: "s" + s, 1.0)
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(pair=st.sampled_from(["exponential", "power", "mittag-leffler"]),
        t=st.floats(1e-2, 1e2), a=st.floats(0.1, 1.0), nu=st.floats(0.1, 2.5),

@@ -814,3 +814,26 @@ def test_time_grid_validation():
         relaxation_modulus(m, [2.0, 1.0])
     with pytest.raises(DomainError):
         relaxation_modulus(m, [])
+
+
+@pytest.mark.parametrize("call", [relaxation_modulus, creep_compliance, complex_modulus])
+def test_each_response_grid_is_checked_once(monkeypatch, call):
+    checks = []
+    real = models._time_grid
+    monkeypatch.setattr(models, "_time_grid", lambda t: checks.append(1) or real(t))
+    grid = np.geomspace(1e-2, 1e2, 113)
+    r = call(FracZener(1.0, 0.5, 2.0, 0.6), grid)
+    assert len(checks) == 1 and r.abscissae.tolist() == grid.tolist()
+    assert grid.flags.writeable  # the caller's array is not frozen with the response's copy
+
+
+def test_poynting_creep_far_out_is_refused_by_both_routes():
+    # past t ~ 1e200 the transfer function underflows to 0 at some nodes:
+    # the pointwise inversion of 1/(s G(s)) once let Python's complex
+    # division raise ZeroDivisionError; both routes now decline the time
+    m = PoyntingThomson(2, 3, 1.5, 0.6, 0.8, 0.2)
+    with pytest.raises(ConvergenceError, match=r"^contour sum at t=1e\+300 is not certified: "
+                       "the transform raised ZeroDivisionError"):
+        invert(lambda s: 1.0 / (s * transfer_function(m, s)), 1e300)
+    with pytest.raises(ConvergenceError, match=r"at t=1e\+300 is not certified"):
+        creep_compliance(m, [1e300])

@@ -394,7 +394,8 @@ def test_ml_tiny_argument_takes_the_power_series(monkeypatch):
     assert ml(2.5, 1.0, -1e-80) == 1.0
 
 
-@pytest.mark.parametrize("a,z", [(0.5, -2.2e-309), (0.5, -1e-80), (0.3, -1e-20)])
+@pytest.mark.parametrize("a,z", [(0.5, -2.2e-309), (0.5, -1e-80), (0.3, -1e-20),
+                                 (0.3, -2.2e-309)])
 def test_ml_never_exceeds_its_value_at_zero_next_to_zero(a, z):
     # the contour's rounding once put these at 1.0000000000000004
     assert ml(a, 1.0, z) == 1.0
@@ -482,49 +483,145 @@ def grid_bands(seed=11):
     return bands
 
 
+def band_series(a, b, z):
+    """The band series' values and error bounds at every z, and where it
+    certifies them; nothing where its band is skipped."""
+    series, bound = np.full(z.size, math.nan), np.full(z.size, math.inf)
+    pairs = special._band_series(a, b)
+    band = np.abs(z) <= special._BAND_U**a
+    if pairs is not None and band.any():
+        series[band], bound[band] = special._ml_series(pairs, z[band])
+    with np.errstate(invalid="ignore"):
+        return series, bound, (np.abs(series) < 1e307) & (bound <= special._tight(z) * np.abs(series))
+
+
 @pytest.mark.parametrize("a,b,z", grid_bands(), ids=lambda v: f"{v:.3g}" if
                          isinstance(v, float) else "z")
 def test_ml_grid_against_mpmath(a, b, z):
     got = special._ml_grid(a, b, z)
+    series, bound, in_band = band_series(a, b, z)
     value, est = special._ml_contour(a, b, z)
     tight = special._tight(z)
-    contour = np.isfinite(value) & (est <= tight)
+    contour = ~in_band & np.isfinite(value) & (est <= tight)
     for k, zk in enumerate(z):
         ref = ml_reference_mp(a, b, float(zk))
         contract = 1e-10 if abs(zk) <= 50.0 else 1e-6
         assert got[k] == pytest.approx(ref, rel=contract), (a, b, zk)
-        if contour[k]:  # the estimate bounds the error it certifies
+        # each route's estimate bounds the error it certifies: the band's
+        # series first, then the contour
+        if in_band[k]:
+            assert got[k] == series[k]
+            assert abs(series[k] - ref) <= bound[k], (a, b, zk, bound[k])
+        elif contour[k]:
             assert got[k] == value[k]
             assert abs(value[k] - ref) <= est[k] * abs(ref), (a, b, zk, est[k])
         assert got[k] == ml(a, b, float(zk)), (a, b, zk)  # one evaluator
+    if special._band_series(a, b) is not None and min(abs(z)) <= special._BAND_U**a / 2:
+        assert in_band.any()  # the series serves the inner half of its band
+
+
+def band_cap(b):
+    """Both sides of the smallest alpha that has a band series at beta b:
+    no series at the first, one of about 90 terms at the second."""
+    lo, hi = 0.05, 1.0
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if special._band_series(mid, b) is None else (lo, mid)
+    return lo, hi
+
+
+def series_band(seed=23):
+    """Seeded (alpha, beta, z grid) around the band |z| <= 4**alpha that
+    the power series serves: beta != 1, beta at and next to 0, beta next
+    to the poles -1 and -2 of Gamma, where the band is skipped, and alpha
+    on both sides of the smallest alpha whose series fits in 90 terms.
+    Each grid holds the band's edge and its neighbours on both half-axes,
+    tiny |z| and draws inside the band."""
+    rng = np.random.default_rng(seed)
+    params = [(rng.uniform(0.35, 1.99), rng.uniform(0.2, 3.0)) for _ in range(5)]
+    params += [(rng.uniform(0.35, 1.99), b) for b in (0.0, 1e-12, 1e-3, -1e-10, -1.0 + 1e-9,
+                                                       -2.0 - 1e-7)]
+    params += [(a, b) for b in (0.0, 1.7) for a in band_cap(b)]
+    out = []
+    for a, b in params:
+        edge = special._BAND_U**a
+        near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf), 1e-20, 1e-9]
+        x = np.concatenate((near, edge * rng.uniform(0.0, 1.0, 4)))
+        out.append((float(a), float(b), np.concatenate((-x, x))))
+    return out
+
+
+def test_ml_band_series_against_mpmath():
+    served = 0
+    for a, b, z in series_band():
+        pairs = special._band_series(a, b)
+        if b < 0.0:
+            assert pairs is None
+        elif a > 0.35:
+            assert pairs is not None
+        got = special._ml_grid(a, b, z)
+        series, bound, in_band = band_series(a, b, z)
+        for k, zk in enumerate(z):
+            ref = ml_series_mp(a, b, float(zk))
+            assert got[k] == pytest.approx(ref, rel=1e-10, abs=1e-300), (a, b, zk)
+            assert got[k] == ml(a, b, float(zk)), (a, b, zk)  # bit for bit
+            if in_band[k]:
+                served += 1
+                assert got[k] == series[k]
+                assert abs(series[k] - ref) <= bound[k], (a, b, zk, bound[k])
+        assert not in_band[np.abs(z) > special._BAND_U**a].any()
+    assert served >= 120
+    for b in (0.0, 1.7):
+        below, above = band_cap(b)
+        assert 0.3 < below and len(special._band_series(above, b)) - 1 > 80
+    # 1/Gamma of the largest gamma argument, 160 + 1.9 (K + 1) > 171, would
+    # no longer be a normal double
+    assert special._band_series(1.9, 150.0) is not None
+    assert special._band_series(1.9, 160.0) is None
+    for z in (-3.0, 3.0):
+        assert ml(1.9, 160.0, z) == pytest.approx(ml_series_mp(1.9, 160.0, z), rel=1e-10)
 
 
 def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
-    # points both contour passes refuse, on either half-axis, z = 0 and
-    # non-finite z take _ml_point unchanged: its values and its errors;
-    # the first pass keeps the rest, and only its refused points with a
-    # pole (z > 0 at alpha < 1) reach the second
-    z = np.append(-np.linspace(0.05, 1.0, 10), [0.5, 0.7])
-    real_contour, real_point, calls = special._ml_contour, special._ml_point, []
-    second = []
+    # the route order: the band's series takes the finite z with
+    # |z| <= 4**alpha, z = 0 among them; the first contour pass takes the
+    # rest of the finite z with |z| >= 1e-8 and the points the series
+    # refuses; only its refused points with a pole (z > 0 at alpha < 1)
+    # reach the second pass; _ml_point takes what no pass keeps, in grid
+    # order, with its values and its errors
+    a, b = 0.6, 1.0
+    z = np.append(-np.linspace(0.05, 1.0, 10), [0.5, 0.7, -5.0, 3.0, -8.0, 0.0])
+    band = np.flatnonzero(np.abs(z) <= special._BAND_U**a)
+    assert list(band) == list(range(12)) + [15]
+    real_series, real_contour, real_point = special._ml_series, special._ml_contour, special._ml_point
+    seen, passes, calls = [], [], []
+
+    def refuse_series(pairs, zs):
+        seen.append(list(zs))
+        v = real_series(pairs, zs)
+        v[1, ::3] = math.inf  # every third band point
+        return v
 
     def refuse_odd(a, b, zs, subtract=False):
+        passes.append(list(zs))
         value, est = real_contour(a, b, zs, subtract)
-        if subtract:
-            second.append(list(zs))
-            est[:] = math.inf
-        else:
-            est[1::2] = math.inf
+        est[slice(None) if subtract else slice(1, None, 2)] = math.inf
         return value, est
 
+    monkeypatch.setattr(special, "_ml_series", refuse_series)
     monkeypatch.setattr(special, "_ml_contour", refuse_odd)
-    monkeypatch.setattr(special, "_ml_point",
-                        lambda a, b, x: calls.append(x) or real_point(a, b, x))
-    got = special._ml_grid(0.6, 1.0, np.append(z, 0.0))
-    assert second == [[0.7]]
-    assert calls == list(z[1::2]) + [0.0]
-    assert list(got[1::2]) + [got[-1]] == [real_point(0.6, 1.0, x) for x in calls]
-    assert list(got[:-1:2]) == list(real_contour(0.6, 1.0, z)[0][::2])
+    monkeypatch.setattr(special, "_ml_point", lambda a, b, x: calls.append(x) or real_point(a, b, x))
+    got = special._ml_grid(a, b, z)
+    assert seen == [list(z[band])]
+    refused = band[::3]  # z = 0 among them, which no contour pass takes
+    first = [0, 3, 6, 9, 12, 13, 14]
+    assert list(refused) == [0, 3, 6, 9, 15]
+    assert passes == [list(z[first]), [3.0]]
+    assert calls == list(z[[3, 9, 13, 15]])
+    assert list(got[[3, 9, 13, 15]]) == [real_point(a, b, x) for x in calls]
+    kept = np.setdiff1d(band, refused)
+    assert list(got[kept]) == list(real_series(special._band_series(a, b), z[kept])[0])
+    assert list(got[[0, 6, 12, 14]]) == list(real_contour(a, b, z[[0, 6, 12, 14]])[0])
     with pytest.raises(DomainError):
         special._ml_grid(0.6, 1.0, [-1.0, math.nan])
     with pytest.raises(DomainError):
