@@ -152,10 +152,14 @@ def _taylor(a: float, b: float, z: float):
         zk *= z
     if s == 0.0:
         return None
-    # per-term rounding, including the double rounding of a*k + b inside
-    # the gamma argument
-    term_err = _EPS * (4.0 + 1.5 * xmax * math.log(xmax + 2.0))
-    return s, (term_err * tabs + 2.0 * abs(term)) / abs(s)
+    return s, (_coef_err(xmax) * tabs + 2.0 * abs(term)) / abs(s)
+
+
+def _coef_err(x: float) -> float:
+    """Relative rounding of a power series term z**k / Gamma(a k + b)
+    formed in doubles, for gamma arguments up to x, including the double
+    rounding of a k + b inside the gamma argument."""
+    return _EPS * (4.0 + 1.5 * x * math.log(x + 2.0))
 
 
 def _saddle_size(a: float, b: float, x: float) -> float:
@@ -409,9 +413,11 @@ def _ml_point(a: float, b: float, z: float) -> float:
 # The power series serves the band |z|**(1/alpha) <= _BAND_U, where its
 # terms peak at a gamma argument of about _BAND_U and barely cancel. Its
 # gamma arguments stay at most _GAMMA_ARG_MAX, where 1/Gamma is still a
-# normal double whose error the coefficient term bounds.
+# normal double whose error _coef_err bounds. _ml_series sums up to
+# _SERIES_PY points in Python floats.
 _BAND_U = 4.0
 _GAMMA_ARG_MAX = 171.0
+_SERIES_PY = 20
 
 
 def _band_series(a: float, b: float):
@@ -421,8 +427,8 @@ def _band_series(a: float, b: float):
 
     Pair k < K is c_k = 1/Gamma(a k + b) and the weight (g + e_k) |c_k|
     of the error bound: g = gamma_2K bounds the rounding of Horner's rule
-    (Higham, Accuracy and Stability, 5.1) and e_k is _taylor's
-    coefficient error at the gamma argument a k + b. Pair K is 0 and
+    (Higham, Accuracy and Stability, 5.1) and e_k = _coef_err(a k + b),
+    the coefficient's own error, as _taylor takes it. Pair K is 0 and
     2 |c_K|. K is the first count at which the band edge's first omitted
     term is below eps times the sum of the terms before it and the next
     term is at most half of it; log-convexity of Gamma makes the term
@@ -433,7 +439,7 @@ def _band_series(a: float, b: float):
     the sum condition still be unmet there (no (a, b) was found that
     leaves it so). The band is also skipped when a gamma argument would
     pass _GAMMA_ARG_MAX, and for b < 0, where a k + b may lie next to a
-    pole of Gamma and the coefficient term would not bound its rounding.
+    pole of Gamma and _coef_err would not bound its rounding.
     """
     edge, cap = _BAND_U**a, _NODES.size
     # the term ratio falls with k, so one above 1/2 at the cap rules the
@@ -461,8 +467,8 @@ def _band_series(a: float, b: float):
     np.abs(pairs[:, 0], out=pairs[:, 1])
     pairs[0] = 0.0, 2.0 * pairs[0, 1]
     x = a * np.arange(k - 1, -1, -1) + b  # a * j + b, as the loop forms it
-    e = 4.0 + 1.5 * x * np.array(list(map(math.log, (x + 2.0).tolist())))
-    pairs[1:, 1] *= k * _EPS / (1.0 - k * _EPS) + _EPS * e  # gamma_2K with unit roundoff eps / 2
+    e = np.array(list(map(_coef_err, x.tolist())))
+    pairs[1:, 1] *= k * _EPS / (1.0 - k * _EPS) + e  # gamma_2K with unit roundoff eps / 2
     return pairs
 
 
@@ -470,17 +476,14 @@ def _ml_series(pairs, z) -> np.ndarray:
     """The band series' values and error bounds at a 1-D array z, as the
     rows of a (2, len(z)) array. One Horner recurrence carries both, the
     bound's row on |z|: in numpy over the array, or point by point in
-    Python floats for up to 12 points, where 2K numpy calls would cost
-    more than the sums. Up to 256 points, each pair is repeated along the
-    array, since numpy adds arrays of one shape in about two thirds of
-    the time it takes to broadcast a column on such short rows; past
-    that the column keeps the memory bounded. All take the same
-    operations in the same order, so they give the same bits."""
-    if z.size > 12:
+    Python floats for up to _SERIES_PY points, where the 2K + 2 numpy
+    calls cost more than the sums (a Python step takes about a twentieth
+    of a numpy call's time). Both take the same operations in the same
+    order, so they give the same bits."""
+    if z.size > _SERIES_PY:
         zz = np.stack((z, np.abs(z)))
         v = np.zeros_like(zz)
-        cws = pairs[:, :, None]
-        for cw in np.repeat(cws, z.size, axis=2) if z.size <= 256 else cws:
+        for cw in pairs[:, :, None]:
             v *= zz
             v += cw
         return v

@@ -582,6 +582,21 @@ def test_ml_band_series_against_mpmath():
         assert ml(1.9, 160.0, z) == pytest.approx(ml_series_mp(1.9, 160.0, z), rel=1e-10)
 
 
+def test_ml_band_series_same_bits_in_numpy_and_python_sums():
+    # a long band grid, and grids at the Python sums' size limit and just
+    # past it, give each point the bits of its one-point value
+    a, b = 0.75, 1.3
+    edge = special._BAND_U**a
+    assert special._band_series(a, b) is not None
+    z = np.linspace(-edge, edge, 1001)
+    got = special._ml_grid(a, b, z)
+    for k in range(0, z.size, 7):
+        assert got[k] == ml(a, b, float(z[k])), z[k]
+    for n in (2, special._SERIES_PY, special._SERIES_PY + 1):
+        z = np.linspace(-edge, 0.9 * edge, n)
+        assert list(special._ml_grid(a, b, z)) == [ml(a, b, float(x)) for x in z]
+
+
 def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
     # the route order: the band's series takes the finite z with
     # |z| <= 4**alpha, z = 0 among them; the first contour pass takes the
