@@ -2,17 +2,20 @@
 fractional-exponential relaxation kernel.
 
 Everything here is real-in/real-out and pure. Every Mittag-Leffler
-value, at one argument or on a grid, takes one route order: for
-alpha < 2, first the power series summed by Horner's rule over the
-band |z|**(1/alpha) <= 4 of the grid (for beta >= 0, where it needs at
-most 90 terms), then for the rest with |z| >= 1e-8 a vectorised
-double-precision Bromwich integral on frheo.laplace's parabola node
-table, where z has a pole that integral again with the pole
-subtracted, then per point the compensated power series, on the
-negative axis the algebraic asymptotic series, and last an
-extended-precision series in mpmath. A route is accepted only when its
-internally estimated relative error clears the accuracy target: 1e-10
-for |z| <= 50, 1e-6 beyond, with an order of magnitude of headroom.
+value, at one argument or on a grid, takes one route order: first the
+power series summed by Horner's rule over the band |z|**(1/alpha) <= 4
+of the grid, with the terms its edge needs (at most 90), then for
+alpha < 2 and the rest with |z| >= 1e-8 a vectorised double-precision
+Bromwich integral on frheo.laplace's parabola node table, where z has a
+pole that integral again with the pole subtracted, then per point the
+same power series at the point's own |z| (at most 500 terms), on the
+negative axis for alpha < 2 the algebraic asymptotic series, and last
+an extended-precision series in mpmath. Both power series take any
+alpha and beta whose terms fit in doubles; their bound counts the
+rounding of each gamma argument next to a pole of Gamma when beta < 0.
+A route is accepted only when its internally estimated relative error
+clears the accuracy target: 1e-10 for |z| <= 50, 1e-6 beyond, with an
+order of magnitude of headroom.
 """
 
 from __future__ import annotations
@@ -120,46 +123,6 @@ def _series_predict(a: float, b: float, z: float):
     if not (math.isfinite(count) and math.isfinite(peak)):
         return None
     return int(count), max(0.0, peak)
-
-
-def _taylor(a: float, b: float, z: float):
-    """Compensated power series. Returns (sum, error estimate) or None
-    when the series is out of reach for doubles."""
-    pred = _series_predict(a, b, z)
-    if pred is None or pred[0] > 500 or pred[1] > 690.0:
-        return None
-    if abs(z) > 1.0 and pred[0] * math.log(abs(z)) > 600.0:
-        return None  # z**k would overflow before the tail is reached
-    s = 0.0
-    comp = 0.0
-    tabs = 0.0
-    zk = 1.0
-    small = 0
-    xmax = abs(b)  # largest |gamma argument|; b < 0 may stop the sum early
-    term = 0.0
-    for k in range(501):
-        x = a * k + b
-        term = zk * _rgamma(x)
-        tabs += abs(term)
-        xmax = max(xmax, x)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        small = small + 1 if abs(term) < 1e-16 * abs(s) else 0  # consecutive small terms
-        if small >= 2:
-            break
-        zk *= z
-    if s == 0.0:
-        return None
-    return s, (_coef_err(xmax) * tabs + 2.0 * abs(term)) / abs(s)
-
-
-def _coef_err(x: float) -> float:
-    """Relative rounding of a power series term z**k / Gamma(a k + b)
-    formed in doubles, for gamma arguments up to x, including the double
-    rounding of a k + b inside the gamma argument."""
-    return _EPS * (4.0 + 1.5 * x * math.log(x + 2.0))
 
 
 def _saddle_size(a: float, b: float, x: float) -> float:
@@ -294,13 +257,17 @@ def _ml_contour(a: float, b: float, z, subtract: bool = False):
             coarse[blk], fine[blk] = np.add.reduceat(g.real, (0, _SPLIT), axis=1).T
             err[blk] = 4.0 * _EPS * size.sum(axis=1)
         if live.size:
-            # the residue's exponent s* = exp(log|z| / a) carries a rounding
-            # error of up to about (4 + 2 |log s*|) |s*| eps
+            # s* = exp(log|z| / a) carries a relative rounding error of up to
+            # about (4 + 2 |log s*|) eps, which moves the residue by |s*|
+            # times as much through e^(s*); where the residue is added, it
+            # also moves it by |1 - b| times as much through s*^(1-b), and
+            # the residue's own log and exp add a few eps more
             rounding = _EPS * np.abs(pole) * (4.0 + 2.0 * np.abs(lu))
+            added = _EPS * (abs(1.0 - b) + 1.0) * (4.0 + 2.0 * np.abs(lu))
             if subtract:
                 coarse[live] += res.real
                 fine[live] += res.real
-                err[live] += np.abs(res) * rounding
+                err[live] += np.abs(res) * (rounding + added)
             else:
                 (mu_coarse, _, _, _), (mu_fine, h_fine, _, _) = _COARSE, _FINE
                 # the pole's image u* on a parabola: Re sqrt(s*/mu) > 1 puts
@@ -314,7 +281,8 @@ def _ml_contour(a: float, b: float, z, subtract: bool = False):
                 # a residue out of double range leaves an infinite or NaN
                 # estimate, which certifies nothing
                 q = np.exp(-2.0 * math.pi * np.abs(w_fine - 1.0) / h_fine)
-                err[live] += np.abs(res) * (rounding + np.where(q < 1.0, q / (1.0 - q), math.inf))
+                err[live] += np.abs(res) * (rounding + np.where(w_fine > 1.0, added, 0.0)
+                                            + np.where(q < 1.0, q / (1.0 - q), math.inf))
         return fine, np.where(fine == 0.0, math.inf, (np.abs(fine - coarse) + err) / np.abs(fine))
 
 
@@ -379,9 +347,10 @@ def _series_mpf(a: float, b: float, z: float) -> float:
 
 
 def _ml_point(a: float, b: float, z: float) -> float:
-    """E_{a,b}(z) where the contour route does not run or certify: the
-    power series, then for z < 0 and a < 2 the algebraic asymptotic
-    series, each if it clears the tight level; last mpmath's series."""
+    """E_{a,b}(z) where the grid's routes do not run or certify: the
+    power series at the point's own |z| with up to _POINT_TERMS terms,
+    then for z < 0 and a < 2 the algebraic asymptotic series, each if it
+    clears the tight level; last mpmath's series."""
     if not math.isfinite(z):
         raise DomainError(f"ml argument must be finite, got {z}")
     if z == 0.0:
@@ -398,77 +367,88 @@ def _ml_point(a: float, b: float, z: float) -> float:
             lu = math.log(abs(z)) / a  # at most 355 for z < -1
             if lu > 700.0 or math.exp(lu) * c + (1.0 - b) * lu - math.log(a / m) > 709.0:
                 raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
-        for route in (_taylor, _alg_asym) if z < 0.0 and a < 2.0 else (_taylor,):
-            r = route(a, b, z)
-            if r is not None and r[1] <= _tight(z):
-                v = r[0]
-                break
-        else:
-            v = _series_mpf(a, b, z)
+        pairs = _series_pairs(a, b, abs(z), _POINT_TERMS)
+        v, bound = (math.nan, math.nan) if pairs is None else _ml_series(pairs, np.array([z]))[:, 0]
+        # a finite sum met no overflow on its way, so its bound holds
+        if not (math.isfinite(v) and bound <= _tight(z) * abs(v)):
+            r = _alg_asym(a, b, z) if z < 0.0 and a < 2.0 else None
+            v = r[0] if r is not None and r[1] <= _tight(z) else _series_mpf(a, b, z)
     if not math.isfinite(v):
         raise OverflowError(f"E_({a},{b})({z}) exceeds double range")
     return v
 
 
-# The power series serves the band |z|**(1/alpha) <= _BAND_U, where its
-# terms peak at a gamma argument of about _BAND_U and barely cancel. Its
-# gamma arguments stay at most _GAMMA_ARG_MAX, where 1/Gamma is still a
-# normal double whose error _coef_err bounds. _ml_series sums up to
-# _SERIES_PY points in Python floats.
+# The power series serves the band |z|**(1/alpha) <= _BAND_U of a grid,
+# where its terms peak at a gamma argument of about _BAND_U and barely
+# cancel, with at most as many terms as the contour has nodes; per point
+# it runs at the point's own |z| with up to _POINT_TERMS. Its gamma
+# arguments stay below _GAMMA_ARG_MAX, where 1/Gamma is still a normal
+# double whose error its weights bound.
+# _ml_series sums up to _SERIES_PY points in Python floats.
 _BAND_U = 4.0
+_POINT_TERMS = 500
 _GAMMA_ARG_MAX = 171.0
 _SERIES_PY = 20
 
 
-def _band_series(a: float, b: float):
+def _series_pairs(a: float, b: float, edge: float, cap: int):
     """Horner's coefficient pairs, highest degree first, of the power
-    series that serves the band |z| <= 4**a of E_{a,b}, or None where the
-    band is skipped.
+    series of E_{a,b} on |z| <= edge, or None where it is skipped.
 
     Pair k < K is c_k = 1/Gamma(a k + b) and the weight (g + e_k) |c_k|
     of the error bound: g = gamma_2K bounds the rounding of Horner's rule
-    (Higham, Accuracy and Stability, 5.1) and e_k = _coef_err(a k + b),
-    the coefficient's own error, as _taylor takes it. Pair K is 0 and
-    2 |c_K|. K is the first count at which the band edge's first omitted
-    term is below eps times the sum of the terms before it and the next
-    term is at most half of it; log-convexity of Gamma makes the term
-    ratios fall with k, so twice the first omitted term bounds the tail
-    everywhere in the band. K depends on (a, b) alone, so a point gets
-    the same bits in any grid. K is at most the contour's 90 nodes: the
-    band is skipped when the ratio at 90 is above 1/2, and K = 90 should
-    the sum condition still be unmet there (no (a, b) was found that
-    leaves it so). The band is also skipped when a gamma argument would
-    pass _GAMMA_ARG_MAX, and for b < 0, where a k + b may lie next to a
-    pole of Gamma and _coef_err would not bound its rounding.
+    (Higham, Accuracy and Stability, 5.1) and e_k = eps (4 + 1.5 y
+    log(y + 2)), y = a k + |b|, the coefficient's own error with the
+    rounding of its gamma argument. For b < 0 that argument x = a k + b
+    is formed with cancellation and may lie next to a pole of Gamma,
+    where no relative error bounds it: a coefficient with k > 0 and
+    x < 0.5 adds eps (a k + |x|) Gamma(1 - x), the most a rounded x moves
+    1/Gamma(x) = sin(pi x) Gamma(1 - x) / pi, the rule _alg_asym applies
+    to its reflection arguments. Pair K is 0 and 2 |c_K|.
+
+    K is the first count at which the edge's first omitted term is below
+    eps times the sum of the terms before it, the next term is at most
+    half of it, and its gamma argument a K + b is positive: Gamma is
+    log-convex there, so the term ratios fall with k and twice the first
+    omitted term bounds the tail anywhere on |z| <= edge. K depends on
+    (a, b, edge) alone, so at a fixed edge a point gets the same bits in
+    any grid. K is at most cap: the series is skipped when a cap + b is
+    not positive or the ratio at cap is above 1/2, and K = cap should the
+    sum condition still be unmet there. It is also skipped when a gamma
+    argument would pass _GAMMA_ARG_MAX, and when b is so far below 0 that
+    _rgamma saturates there, as an infinite coefficient would leave the
+    sums NaN at z = 0.
     """
-    edge, cap = _BAND_U**a, _NODES.size
     # the term ratio falls with k, so one above 1/2 at the cap rules the
-    # band out before any coefficient is formed
-    if b < 0.0 or a + b > _GAMMA_ARG_MAX or edge * math.exp(
+    # series out before any coefficient is formed
+    if b < 0.0 and math.lgamma(1.0 - b) > 700.0 or a * cap + b <= 0.0 or edge * math.exp(
             math.lgamma(a * cap + b) - math.lgamma(a * (cap + 1) + b)) > 0.5:
         return None
-    gamma_ = math.gamma  # a k + b > 0 past k = 0: no pole
-    c = [_rgamma(b), 1.0 / gamma_(a + b)]
-    # the edge terms' sum below k, edge**k, and |c_k|
-    total, power, size = abs(c[0]), 1.0, abs(c[1])
-    for k in range(1, cap + 1):
+    # c_k and the edge terms' sum below k, and edge**k
+    c, total, power = [_rgamma(b)], 0.0, 1.0
+    for k in range(cap + 1):
         x = a * (k + 1) + b
         if x > _GAMMA_ARG_MAX:
             return None
-        c.append(1.0 / gamma_(x))
-        power *= edge
-        term, size_next = size * power, abs(c[-1])
-        if term <= _EPS * total and edge * size_next <= 0.5 * size:
+        # math.gamma overflows next to 0 and has poles below it
+        c.append(1.0 / math.gamma(x) if x >= _EPS else _rgamma(x))
+        term = abs(c[k]) * power
+        if term <= _EPS * total and edge * abs(c[k + 1]) <= 0.5 * abs(c[k]) and a * k + b > 0.0:
             break
         total += term
-        size = size_next
+        power *= edge
     pairs = np.empty((k + 1, 2))
     pairs[:, 0] = c[k::-1]
     np.abs(pairs[:, 0], out=pairs[:, 1])
     pairs[0] = 0.0, 2.0 * pairs[0, 1]
-    x = a * np.arange(k - 1, -1, -1) + b  # a * j + b, as the loop forms it
-    e = np.array(list(map(_coef_err, x.tolist())))
-    pairs[1:, 1] *= k * _EPS / (1.0 - k * _EPS) + e  # gamma_2K with unit roundoff eps / 2
+    j = np.arange(k - 1, -1, -1)
+    e = [_EPS * (4.0 + 1.5 * y * math.log(y + 2.0)) for y in (a * j + abs(b)).tolist()]
+    pairs[1:, 1] *= k * _EPS / (1.0 - k * _EPS) + np.array(e)  # gamma_2K with unit roundoff eps / 2
+    if b < 0.0:
+        x = a * j + b  # as the loop forms it
+        near = np.flatnonzero((x < 0.5) & (j > 0))
+        pairs[1 + near, 1] += _EPS * (a * j[near] + np.abs(x[near])) * np.exp(
+            [math.lgamma(1.0 - y) for y in x[near].tolist()])
     return pairs
 
 
@@ -505,39 +485,45 @@ def _ml_series(pairs, z) -> np.ndarray:
 # returned E_{0.5,1}(-1e-80) = 1.0000000000000004. From 1e-8 on that
 # distance is far above the contour's tight level. The band's series
 # serves such z where it runs; where it is skipped (alpha below about
-# 0.34, or beta < 0) this bound still keeps them off the contour.
+# 0.34) or refuses them, this bound still keeps them off the contour, and
+# the point series takes them.
 _TINY_Z = 1e-8
 
 
 def _ml_grid(alpha: float, beta: float, args) -> np.ndarray:
     """E_{alpha,beta} at every z of a 1-D grid, within ml_eval's contract.
 
-    Unless alpha >= 2 or (alpha, beta) = (1, 1), which keeps its exact
-    exp, the finite z of the band |z|**(1/alpha) <= 4 go through one
-    vectorised power series (_band_series), and every other finite z
-    with |z| >= _TINY_Z through one contour pass. Each keeps a value
-    whose error bound clears the tight level and which lies below 1e307,
-    short of _ml_point's overflow guard; the points the series refuses
-    join the contour pass, and the points it refuses with a pole get a
-    second pass with the poles subtracted, under the same rule.
-    _ml_point takes the rest in grid order.
+    Unless (alpha, beta) = (1, 1), which keeps its exact exp, the finite
+    z of the band |z|**(1/alpha) <= 4 go through one vectorised power
+    series (_series_pairs at the band's edge, at most 90 terms), and for
+    alpha < 2 every other finite z with |z| >= _TINY_Z through one
+    contour pass. Each keeps a value whose error bound clears the tight
+    level and which lies below 1e307, short of _ml_point's overflow
+    guard; the points the series refuses join the contour pass, and the
+    points it refuses with a pole get a second pass with the poles
+    subtracted, under the same rule. _ml_point takes the rest in grid
+    order.
     """
     MLParams(alpha, beta)
     z = np.array(args, dtype=float)
     out = np.full(z.shape, math.nan)
-    if alpha < 2.0 and (alpha, beta) != (1.0, 1.0):
+    if (alpha, beta) != (1.0, 1.0):
         mag = np.abs(z)
-        band = np.flatnonzero(mag <= _BAND_U**alpha)
-        pairs = _band_series(alpha, beta) if band.size else None
+        # past alpha = 171 no two gamma arguments of the series fit below
+        # 171, so it has no pairs; the edge only has to stay finite
+        edge = _BAND_U**min(alpha, _GAMMA_ARG_MAX)
+        band = np.flatnonzero(mag <= edge)
+        pairs = _series_pairs(alpha, beta, edge, _NODES.size) if band.size else None
         idx = np.flatnonzero(np.isfinite(z) & (mag >= _TINY_Z))
         if pairs is not None:
             value, bound = _ml_series(pairs, z[band])
             size = np.abs(value)
-            # |z| <= 4**alpha < 16 in the band: the tight level of |z| <= 50
+            # the tight level of |z| <= 50, where the band lies for alpha < 2
+            # (4**alpha < 16); past that the stricter one
             keep = (size < 1e307) & (bound <= _TIGHT[1] * size)
             out[band[keep]] = value[keep]
             idx = idx[np.isnan(out[idx])]
-        for subtract in (False, True):
+        for subtract in (False, True) if alpha < 2.0 else ():
             if not idx.size:
                 break
             value, est = _ml_contour(alpha, beta, z[idx], subtract)
@@ -555,13 +541,13 @@ def ml_eval(p: MLParams, z: float) -> float:
 
     Relative error <= 1e-10 for |z| <= 50 and <= 1e-6 elsewhere. A
     one-point grid, so equal bit for bit to any grid's value at z; its
-    routes, in order: for alpha < 2 the band's power series where
-    |z|**(1/alpha) <= 4, then for |z| >= 1e-8 the contour integral,
-    where z has a pole that integral again with the pole subtracted, the
-    compensated power series, for z < 0 and alpha < 2 the algebraic
-    asymptotic series, and the extended-precision series. Raises
-    DomainError for a non-finite z and OverflowError when the value
-    leaves double range, as the exp(z**(1/alpha)) growth on the
+    routes, in order: the power series at the band's edge where
+    |z|**(1/alpha) <= 4, then for alpha < 2 and |z| >= 1e-8 the contour
+    integral, where z has a pole that integral again with the pole
+    subtracted, the power series at |z| itself, for z < 0 and alpha < 2
+    the algebraic asymptotic series, and the extended-precision series.
+    Raises DomainError for a non-finite z and OverflowError when the
+    value leaves double range, as the exp(z**(1/alpha)) growth on the
     positive axis does.
     """
     return float(_ml_grid(p.alpha, p.beta, [z])[0])

@@ -131,5 +131,8 @@ def test_one_mittag_leffler_route_order():
     # pass, then the per-point chain for what it does not certify, so a
     # second order (a scalar chain of its own) cannot come back unnoticed
     assert _readers("_ml_contour") == ["special.py:_ml_grid"]
-    for route in ("_taylor", "_alg_asym", "_series_mpf"):
+    for route in ("_alg_asym", "_series_mpf"):
         assert _readers(route) == ["special.py:_ml_point"], route
+    # one power series: the band's and the point's come from one pair builder
+    for route in ("_series_pairs", "_ml_series"):
+        assert sorted(_readers(route)) == ["special.py:_ml_grid", "special.py:_ml_point"], route

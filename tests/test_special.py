@@ -255,6 +255,16 @@ def test_ml_tiny_alpha_next_to_one_declines_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def point_series(a, b, z):
+    """The per-point power series at z: (value, relative bound), or None
+    where it is skipped."""
+    pairs = special._series_pairs(a, b, abs(z), special._POINT_TERMS)
+    if pairs is None:
+        return None
+    (value,), (bound,) = special._ml_series(pairs, np.array([z]))
+    return value, bound / abs(value) if value else math.inf
+
+
 def contour_band(n, seed=4):
     """Seeded (alpha, beta, z) on the negative axis where neither the
     power series nor the asymptotic series certifies. Two fixed points
@@ -269,7 +279,7 @@ def contour_band(n, seed=4):
         if abs(z)**(1.0 / a) > 250.0:
             continue
         tight = 3e-12 if abs(z) <= 50.0 else 1e-9
-        rt, ra = special._taylor(a, b, z), special._alg_asym(a, b, z)
+        rt, ra = point_series(a, b, z), special._alg_asym(a, b, z)
         if (rt is None or rt[1] > tight) and (ra is None or ra[1] > tight):
             out.append((a, b, z))
     return out
@@ -358,7 +368,7 @@ def test_ml_next_to_a_zero_takes_the_asymptotic_series(monkeypatch):
 
     a, b, z = 0.43433185764985605, 0.43765362298757393, -27.40127909207043
     assert special._ml_contour(a, b, [z])[1][0] > special._tight(z)
-    assert special._taylor(a, b, z) is None
+    assert point_series(a, b, z) is None
     monkeypatch.setattr(special, "_series_mpf", refuse)
     assert ml(a, b, z) == pytest.approx(4.8174462346137035e-4, rel=1e-10)
 
@@ -483,11 +493,16 @@ def grid_bands(seed=11):
     return bands
 
 
+def band_pairs(a, b):
+    """The coefficient pairs of the band series, as _ml_grid forms them."""
+    return special._series_pairs(a, b, special._BAND_U**a, special._NODES.size)
+
+
 def band_series(a, b, z):
     """The band series' values and error bounds at every z, and where it
     certifies them; nothing where its band is skipped."""
     series, bound = np.full(z.size, math.nan), np.full(z.size, math.inf)
-    pairs = special._band_series(a, b)
+    pairs = band_pairs(a, b)
     band = np.abs(z) <= special._BAND_U**a
     if pairs is not None and band.any():
         series[band], bound[band] = special._ml_series(pairs, z[band])
@@ -516,7 +531,7 @@ def test_ml_grid_against_mpmath(a, b, z):
             assert got[k] == value[k]
             assert abs(value[k] - ref) <= est[k] * abs(ref), (a, b, zk, est[k])
         assert got[k] == ml(a, b, float(zk)), (a, b, zk)  # one evaluator
-    if special._band_series(a, b) is not None and min(abs(z)) <= special._BAND_U**a / 2:
+    if band_pairs(a, b) is not None and min(abs(z)) <= special._BAND_U**a / 2:
         assert in_band.any()  # the series serves the inner half of its band
 
 
@@ -526,22 +541,31 @@ def band_cap(b):
     lo, hi = 0.05, 1.0
     for _ in range(45):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if special._band_series(mid, b) is None else (lo, mid)
+        lo, hi = (mid, hi) if band_pairs(mid, b) is None else (lo, mid)
     return lo, hi
+
+
+# (alpha, k, pole, offset): alpha k + beta lies offset away from the pole
+# of Gamma, on either side
+NEXT_TO_A_POLE = [(0.5, 2, 0, 1e-15), (0.7071067811865476, 1, -1, -1e-15),
+                  (0.6180339887498949, 3, 0, 1e-12), (1.4142135623730951, 1, -2, -1e-12),
+                  (0.9, 2, -1, 1e-8), (1.3, 1, 0, -1e-8)]
 
 
 def series_band(seed=23):
     """Seeded (alpha, beta, z grid) around the band |z| <= 4**alpha that
     the power series serves: beta != 1, beta at and next to 0, beta next
-    to the poles -1 and -2 of Gamma, where the band is skipped, and alpha
-    on both sides of the smallest alpha whose series fits in 90 terms.
-    Each grid holds the band's edge and its neighbours on both half-axes,
-    tiny |z| and draws inside the band."""
+    to the poles -1 and -2 of Gamma, a gamma argument alpha k + beta
+    next to a pole, alpha on both sides of the smallest alpha whose
+    series fits in 90 terms, and alpha > 2. Each grid holds the band's
+    edge and its neighbours on both half-axes, tiny |z| and draws inside
+    the band."""
     rng = np.random.default_rng(seed)
     params = [(rng.uniform(0.35, 1.99), rng.uniform(0.2, 3.0)) for _ in range(5)]
     params += [(rng.uniform(0.35, 1.99), b) for b in (0.0, 1e-12, 1e-3, -1e-10, -1.0 + 1e-9,
                                                        -2.0 - 1e-7)]
     params += [(a, b) for b in (0.0, 1.7) for a in band_cap(b)]
+    params += [(a, pole - a * k + d) for a, k, pole, d in NEXT_TO_A_POLE] + [(2.3, 1.1)]
     out = []
     for a, b in params:
         edge = special._BAND_U**a
@@ -554,11 +578,8 @@ def series_band(seed=23):
 def test_ml_band_series_against_mpmath():
     served = 0
     for a, b, z in series_band():
-        pairs = special._band_series(a, b)
-        if b < 0.0:
-            assert pairs is None
-        elif a > 0.35:
-            assert pairs is not None
+        if a > 0.35:
+            assert band_pairs(a, b) is not None
         got = special._ml_grid(a, b, z)
         series, bound, in_band = band_series(a, b, z)
         for k, zk in enumerate(z):
@@ -570,31 +591,83 @@ def test_ml_band_series_against_mpmath():
                 assert got[k] == series[k]
                 assert abs(series[k] - ref) <= bound[k], (a, b, zk, bound[k])
         assert not in_band[np.abs(z) > special._BAND_U**a].any()
+        if b < 0.0:  # next to a pole too, the series certifies where its terms do not cancel
+            assert in_band[(np.abs(z) <= special._BAND_U**a) & (z >= -1e-9)].all(), (a, b)
     assert served >= 120
     for b in (0.0, 1.7):
         below, above = band_cap(b)
-        assert 0.3 < below and len(special._band_series(above, b)) - 1 > 80
+        assert 0.3 < below and len(band_pairs(above, b)) - 1 > 80
     # 1/Gamma of the largest gamma argument, 160 + 1.9 (K + 1) > 171, would
     # no longer be a normal double
-    assert special._band_series(1.9, 150.0) is not None
-    assert special._band_series(1.9, 160.0) is None
+    assert band_pairs(1.9, 150.0) is not None
+    assert band_pairs(1.9, 160.0) is None
+    # 1/Gamma(b) saturates to infinity past lgamma(1 - b) = 700, and an
+    # infinite coefficient made the numpy sum warn and give NaN at z = 0:
+    # the series is skipped there, and just inside it sums finite values
+    assert band_pairs(2.0, -170.99) is None
+    z = np.linspace(-16.0, 16.0, 51)
+    assert np.isfinite(band_pairs(2.0, -167.5)).all()
+    assert special._ml_grid(2.0, -167.5, z)[25] == pytest.approx(6.198958372669902e+300, rel=1e-12)
     for z in (-3.0, 3.0):
         assert ml(1.9, 160.0, z) == pytest.approx(ml_series_mp(1.9, 160.0, z), rel=1e-10)
 
 
 def test_ml_band_series_same_bits_in_numpy_and_python_sums():
     # a long band grid, and grids at the Python sums' size limit and just
-    # past it, give each point the bits of its one-point value
-    a, b = 0.75, 1.3
-    edge = special._BAND_U**a
-    assert special._band_series(a, b) is not None
-    z = np.linspace(-edge, edge, 1001)
-    got = special._ml_grid(a, b, z)
-    for k in range(0, z.size, 7):
-        assert got[k] == ml(a, b, float(z[k])), z[k]
-    for n in (2, special._SERIES_PY, special._SERIES_PY + 1):
-        z = np.linspace(-edge, 0.9 * edge, n)
-        assert list(special._ml_grid(a, b, z)) == [ml(a, b, float(x)) for x in z]
+    # past it, give each point the bits of its one-point value, for
+    # alpha < 2 and alpha > 2
+    for a, b in ((0.75, 1.3), (2.3, 1.1)):
+        edge = special._BAND_U**a
+        assert band_pairs(a, b) is not None
+        z = np.linspace(-edge, edge, 1001)
+        got = special._ml_grid(a, b, z)
+        for k in range(0, z.size, 7):
+            assert got[k] == ml(a, b, float(z[k])), (a, z[k])
+        for n in (2, special._SERIES_PY, special._SERIES_PY + 1):
+            z = np.linspace(-edge, 0.9 * edge, n)
+            assert list(special._ml_grid(a, b, z)) == [ml(a, b, float(x)) for x in z], (a, n)
+
+
+def certified_routes(a, b, z):
+    """Each route that certifies E_{a,b}(z) at the tight level, with its
+    value and absolute error bound: the band series, the point series,
+    the contour and, where z has a pole, the pole-subtracted contour
+    (alpha < 2), and the asymptotic series (z < 0, alpha < 2)."""
+    tight, found = special._tight(z), {}
+    if abs(z) <= special._BAND_U**a and (pairs := band_pairs(a, b)) is not None:
+        (value,), (bound,) = special._ml_series(pairs, np.array([z]))
+        if math.isfinite(value) and bound <= tight * abs(value):
+            found["band series"] = value, bound
+    tries = {"point series": point_series(a, b, z)}
+    if a < 2.0:
+        for subtract in (False, True) if z > 0.0 or a > 1.0 else (False,):
+            (value,), (est,) = special._ml_contour(a, b, [z], subtract)
+            tries["subtracted contour" if subtract else "contour"] = value, est
+        if z < 0.0:
+            tries["asymptotic series"] = special._alg_asym(a, b, z)
+    for route, r in tries.items():
+        if r is not None and math.isfinite(r[0]) and r[1] <= tight:
+            found[route] = r[0], r[1] * abs(r[0])
+    return found
+
+
+def test_ml_routes_agree_where_two_certify():
+    # no oracle: wherever two routes certify a draw, they agree within the
+    # sum of their bounds
+    rng = np.random.default_rng(29)
+    n = 2000
+    a, b = rng.uniform(0.05, 2.5, n), rng.uniform(-1.0, 3.0, n)
+    z = np.exp(rng.uniform(math.log(1e-6), math.log(1e3), n)) * rng.choice((-1.0, 1.0), n)
+    compared = {}
+    for ak, bk, zk in zip(a.tolist(), b.tolist(), z.tolist()):
+        found = list(certified_routes(ak, bk, zk).items())
+        for i, (r1, (v1, e1)) in enumerate(found):
+            for r2, (v2, e2) in found[i + 1:]:
+                assert abs(v1 - v2) <= e1 + e2, (ak, bk, zk, r1, v1, e1, r2, v2, e2)
+                compared[r1, r2] = compared.get((r1, r2), 0) + 1
+    assert sum(compared.values()) >= 1000, compared
+    assert {r for pair in compared for r in pair} == {
+        "band series", "point series", "contour", "subtracted contour", "asymptotic series"}
 
 
 def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
@@ -603,7 +676,8 @@ def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
     # rest of the finite z with |z| >= 1e-8 and the points the series
     # refuses; only its refused points with a pole (z > 0 at alpha < 1)
     # reach the second pass; _ml_point takes what no pass keeps, in grid
-    # order, with its values and its errors
+    # order, with its values and its errors, and runs the series at each
+    # of its points but z = 0
     a, b = 0.6, 1.0
     z = np.append(-np.linspace(0.05, 1.0, 10), [0.5, 0.7, -5.0, 3.0, -8.0, 0.0])
     band = np.flatnonzero(np.abs(z) <= special._BAND_U**a)
@@ -627,7 +701,7 @@ def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
     monkeypatch.setattr(special, "_ml_contour", refuse_odd)
     monkeypatch.setattr(special, "_ml_point", lambda a, b, x: calls.append(x) or real_point(a, b, x))
     got = special._ml_grid(a, b, z)
-    assert seen == [list(z[band])]
+    assert seen == [list(z[band])] + [[x] for x in z[[3, 9, 13]]]
     refused = band[::3]  # z = 0 among them, which no contour pass takes
     first = [0, 3, 6, 9, 12, 13, 14]
     assert list(refused) == [0, 3, 6, 9, 15]
@@ -635,7 +709,7 @@ def test_ml_grid_sends_refused_points_to_the_scalar_chain(monkeypatch):
     assert calls == list(z[[3, 9, 13, 15]])
     assert list(got[[3, 9, 13, 15]]) == [real_point(a, b, x) for x in calls]
     kept = np.setdiff1d(band, refused)
-    assert list(got[kept]) == list(real_series(special._band_series(a, b), z[kept])[0])
+    assert list(got[kept]) == list(real_series(band_pairs(a, b), z[kept])[0])
     assert list(got[[0, 6, 12, 14]]) == list(real_contour(a, b, z[[0, 6, 12, 14]])[0])
     with pytest.raises(DomainError):
         special._ml_grid(0.6, 1.0, [-1.0, math.nan])
