@@ -242,11 +242,12 @@ def _build_grid(args) -> np.ndarray:
         return np.array([tmin])
     if not tmin < tmax:
         raise _UsageError(f"need --tmin < --tmax, got {tmin} and {tmax}")
-    if args.spacing == "log":
-        if tmin <= 0.0:
-            raise _UsageError("log spacing needs a positive --tmin")
-        return np.geomspace(tmin, tmax, points)
-    return np.linspace(tmin, tmax, points)
+    if args.spacing == "log" and tmin <= 0.0:
+        raise _UsageError("log spacing needs a positive --tmin")
+    with np.errstate(all="ignore"):  # an infinite end or span is the models' E_DOMAIN line
+        if args.spacing == "log":
+            return np.geomspace(tmin, tmax, points)
+        return np.linspace(tmin, tmax, points)
 
 
 def _model_params(args) -> dict:
@@ -769,13 +770,69 @@ def _add_model_flags(p):
         p.add_argument(_flag(f), dest=f, type=float)
 
 
+def _flag_table(dest: str, name: str, p: argparse.ArgumentParser):
+    """(options, required, defaults) of subparser p of command name:
+    options maps each long option string of a store action to the action,
+    required holds the dests argparse insists on, and defaults is the
+    Namespace content before any flag, in argparse's order: dest = name,
+    then each action's default, then p's set_defaults."""
+    options, required, defaults = {}, set(), {dest: name}
+    for a in p._actions:
+        if isinstance(a, argparse._StoreAction) and a.nargs is None:
+            options.update((s, a) for s in a.option_strings if s.startswith("--"))
+        if a.required:
+            required.add(a.dest)
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            defaults.setdefault(a.dest, a.default)
+    for k, v in p._defaults.items():
+        defaults.setdefault(k, v)
+    return options, required, defaults
+
+
+def _parse_flags(commands: dict, argv: list):
+    """The Namespace argparse gives argv when argv is a command followed
+    only by exact long options of it, each as --name=value or --name value,
+    a value of the second kind not starting with "-"; None for any other
+    argv, or where a value fails its type or choices or a required flag is
+    missing, so that argparse writes every help, usage and error byte.
+    A repeated flag keeps its last value, as in argparse."""
+    spec = commands.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options, required, defaults = spec
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        name, eq, value = argv[i].partition("=")
+        a = options.get(name)
+        if a is None:
+            return None
+        if not eq:
+            i += 1
+            if i == n or argv[i].startswith("-"):  # argparse's negative-number rule varies
+                return None
+            value = argv[i]
+        i += 1
+        try:
+            value = value if a.type is None else a.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if a.choices is not None and value not in a.choices:
+            return None
+        values[a.dest] = value
+    if not required.issubset(values):
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command parser, built once per process. Reuse is safe:
-    parse_args returns a fresh Namespace on every call, nothing mutates
-    the defaults or handlers after this build, and argparse reads the
-    terminal width when it formats a usage, help or error message, not
-    here, so those bytes do not depend on which call built the parser."""
+def _build_parser():
+    """The command parser and, for each command name, its _flag_table, built
+    once per process. Reuse is safe: parse_args and _parse_flags return a
+    fresh Namespace on every call, nothing mutates the defaults or handlers
+    after this build, and argparse reads the terminal width when it formats
+    a usage, help or error message, not here, so those bytes do not depend
+    on which call built the parser."""
     parser = argparse.ArgumentParser(
         prog="frheo",
         description="Fractional-calculus viscoelasticity toolkit")
@@ -814,15 +871,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write here instead of standard output")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(handler=handlers[name])
-    return parser
+    return parser, {name: _flag_table(sub.dest, name, p) for name, p in sub.choices.items()}
 
 
 def run(argv=None) -> int:
-    """Parse argv, execute, and return the process exit code."""
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as e:  # argparse already printed the diagnostic
-        return 0 if e.code in (0, None) else int(e.code)
+    """Parse argv, execute, and return the process exit code.
+
+    An argv that is a command and exact long options of it, each spelled
+    --name=value or --name value (that value not starting with "-"), with
+    every value valid and every required flag present, is parsed by
+    _parse_flags from tables taken from the command's own subparser; any
+    other argv (help, an unknown or abbreviated flag, "--", a positional,
+    any error) goes to argparse, which writes every help, usage and error
+    byte."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_flags(commands, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:  # argparse already printed the diagnostic
+            return 0 if e.code in (0, None) else int(e.code)
     try:
         text = _render(args.command, args.format, *args.handler(args))
     except _UsageError as e:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -859,8 +860,15 @@ SPRINGPOT = ["respond", "--model", "springpot", "--kappa", "1", "--alpha", "0.5"
      "E_FORMAT: {signal}: fit expects a t,stress,strain file"),
     (["quasi", "--stress", "1", "--mu", "0.5", "--input", "{empty}"], 1,
      "E_FORMAT: {empty}: no header row"),
+    (SPRINGPOT + ["--tmin", "1", "--tmax", "inf"], 1,
+     "E_DOMAIN: time grid must be non-empty and finite"),
+    (SPRINGPOT + ["--tmin=-inf", "--tmax", "1", "--spacing", "linear"], 1,
+     "E_DOMAIN: time grid must be non-empty and finite"),
+    (SPRINGPOT + ["--tmin=-1e308", "--tmax", "1e308", "--spacing", "linear"], 1,
+     "E_DOMAIN: time grid must be non-empty and finite"),
 ], ids=["no tmin", "no points", "tmin above tmax", "log from zero", "ml alpha",
-        "simulate creep file", "quasi creep file", "fit signal file", "empty lines only"])
+        "simulate creep file", "quasi creep file", "fit signal file", "empty lines only",
+        "infinite tmax", "infinite tmin", "overflowing span"])
 def test_refusals_are_one_exact_line(tmp_path, capsys, argv, code, line):
     paths = {"creep": creep_csv(tmp_path), "signal": ramp_csv(tmp_path),
              "empty": write(tmp_path / "empty.csv", "\n\n\n")}
@@ -1056,3 +1064,133 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
                     "--points", str(k + 2)]) == 0
     capsys.readouterr()
     assert len(built) == 6  # the parser and its 5 subparsers
+
+
+# ------------------------------------------------------------- flag table
+
+_CORPUS_MODELS = {"springpot": {"kappa": ("1.5", "0.8"), "alpha": ("0.3", "0.6")},
+                  "fkelvinvoigt": {"b0": ("1", "2"), "b1": ("0.5",), "alpha": ("0.4", "0.7")},
+                  "cmaxwell": {"E": ("2", "0.5"), "tau": ("0.3", "4")}}
+_REQUIRED = {"ml": ("--alpha", "--z"), "respond": ("--function",), "simulate": ("--input",),
+             "fit": ("--input",), "quasi": ("--input", "--stress", "--mu")}
+_CHOICES = {"--function": "creeps", "--spacing": "cubic", "--model": "springpots",
+            "--format": "xml"}
+
+
+def _pairs(rng, command, paths):
+    """A valid (flag, value) list of command, shuffled; some values negative."""
+    one = rng.choice
+    if command == "ml":
+        pairs = [("--alpha", one(["0.5", "0.7", "1.5"])), ("--z", one(["-1", "0.3", "-2.5"]))]
+        pairs += [("--beta", one(["1", "0.5", "2"]))] * (rng.random() < 0.5)
+    elif command in ("respond", "simulate"):
+        model = one(sorted(_CORPUS_MODELS))
+        pairs = [("--model", model)] + [(f"--{f}", one(v)) for f, v in _CORPUS_MODELS[model].items()]
+        if command == "simulate":
+            pairs.append(("--input", one([paths["signal"], paths["eq"]])))
+        elif rng.random() < 0.5:
+            pairs += [("--function", one(["relaxation", "creep", "complex"])),
+                      ("--tmin", one(["0.1", "1"])), ("--tmax", one(["2", "10"])),
+                      ("--points", str(rng.randint(2, 6))), ("--spacing", one(["log", "linear"]))]
+        else:  # a linear grid from a negative time: the models refuse it
+            pairs += [("--function", "creep"), ("--tmin", "-1"), ("--tmax", "1"),
+                      ("--points", "3"), ("--spacing", "linear")]
+    elif command == "quasi":
+        pairs = [("--input", one([paths["signal"], paths["eq"]])),
+                 ("--stress", one(["1", "-3"])), ("--mu", one(["0.2", "0.5"]))]
+    else:
+        pairs = [("--input", paths["creep"])]
+    pairs += [("--format", "json")] * (rng.random() < 0.3)
+    pairs += [("--output", paths["out"])] * (rng.random() < 0.3)
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _spell(rng, pairs):
+    # --name=value or --name value at random; a value led by "-" takes "="
+    out = []
+    for f, v in pairs:
+        out += [f"{f}={v}"] if v.startswith("-") or rng.random() < 0.5 else [f, v]
+    return out
+
+
+def _mutant(rng, kind, command, paths):
+    """(argv, table): an argv of this kind and whether the flag table must
+    parse it (True), must leave it to argparse (False), or either (None)."""
+    pairs = _pairs(rng, command, paths)
+    head = [command] + ["nutting"] * (command == "fit")
+    well_formed = command != "fit"  # a positional always goes to argparse
+    f, v = rng.choice(pairs)
+    at = rng.randrange(len(pairs) + 1)
+    if kind == "spelled":
+        return head + _spell(rng, pairs), well_formed
+    if kind == "repeated":  # the last value wins
+        first = v if f in _CHOICES else "7"
+        return head + _spell(rng, pairs[:at] + [(f, first)] + pairs[at:] + [(f, v)]), well_formed
+    if kind == "negative spaced":
+        return head + _spell(rng, pairs[:at]) + [f, "-" + v] + _spell(rng, pairs[at:]), False
+    if kind == "negative equals":
+        return head + [f"{f}=-{v.lstrip('-')}"] + _spell(rng, pairs), None
+    if kind == "empty":
+        return head + _spell(rng, pairs) + [f"{f}="], None
+    if kind == "equals inside":
+        return head + _spell(rng, pairs) + [f"{f}={v}={v}"], None
+    if kind == "abbreviated":
+        return head + _spell(rng, pairs[:at] + [(f[:-1], v)] + pairs[at:]), False
+    if kind == "unknown":
+        if rng.random() < 0.5:
+            return [command + "s"] + head[1:] + _spell(rng, pairs), False
+        return head + _spell(rng, pairs[:at] + [("--bogus", v)] + pairs[at:]), False
+    if kind in ("help", "separator"):
+        argv = _spell(rng, pairs)
+        token = rng.choice(["-h", "--help"]) if kind == "help" else "--"
+        return head + argv[:at] + [token] + argv[at:], False
+    if kind == "missing value":
+        return head + _spell(rng, pairs[:at]) + [f] + _spell(rng, pairs[at:]), False
+    if kind == "missing required":
+        drop = rng.choice(_REQUIRED[command])
+        return head + _spell(rng, [p for p in pairs if p[0] != drop]), False
+    if kind == "bad number":
+        flag = rng.choice([p for p, _ in pairs if p not in ("--input", "--output", "--model", "--format")]
+                          or ["--points"])
+        bad = rng.choice(["abc", "1.2.3", "0x1p3", ""] + ["2.5"] * (flag == "--points"))
+        return head + _spell(rng, pairs + [(flag, bad)]), False
+    if kind == "bad choice":
+        flag = rng.choice([p for p, _ in pairs if p in _CHOICES] or ["--format"])
+        return head + _spell(rng, pairs + [(flag, _CHOICES[flag])]), False
+    assert kind == "positional"
+    return head + _spell(rng, pairs[:at]) + ["extra"] + _spell(rng, pairs[at:]), False
+
+
+_KINDS = ("spelled", "repeated", "negative spaced", "negative equals", "empty", "equals inside",
+          "abbreviated", "unknown", "help", "separator", "missing value", "missing required",
+          "bad number", "bad choice", "positional")
+
+
+def test_flag_table_matches_argparse_byte_for_byte(tmp_path, capsys, monkeypatch):
+    # every corpus argv gives the same stdout, stderr, exit code and
+    # --output bytes with the flag table as with argparse alone
+    paths = {"signal": ramp_csv(tmp_path, dt=0.1), "creep": creep_csv(tmp_path),
+             "eq": ramp_csv(tmp_path, dt=0.25, name="a=b.csv"), "out": str(tmp_path / "out.csv")}
+    rng = random.Random(22)
+    corpus = [_mutant(rng, kind, command, paths)
+              for kind in _KINDS for command in _REQUIRED for _ in range(4)]
+    assert len(corpus) >= 300
+    commands = cli._build_parser()[1]
+    routes = [cli._parse_flags(commands, argv) is not None for argv, _ in corpus]
+    for (argv, table), route in zip(corpus, routes):
+        assert table is None or route == table, argv
+    monkeypatch.setenv("COLUMNS", "80")
+    out = Path(paths["out"])
+
+    def once(argv):
+        code = run(argv)
+        got = (code, *capsys.readouterr(), out.read_bytes() if out.exists() else None)
+        out.unlink(missing_ok=True)
+        return got
+
+    shipped = [once(argv) for argv, _ in corpus]
+    monkeypatch.setattr(cli, "_parse_flags", lambda commands, argv: None)
+    for (argv, _), got in zip(corpus, shipped):
+        assert once(argv) == got, argv
+    assert {code for code, *_ in shipped} == {0, 1, 2}
