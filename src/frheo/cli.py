@@ -78,21 +78,19 @@ def _columns(cells):
     return None
 
 
-def _nonblank(path, lines, first):
-    """(line, cells) of each csv row of lines, numbered from line first, with
-    a non-blank cell; and for each other row the count of kept rows before
-    it. A cell over the csv module's field limit is an E_FORMAT line."""
-    kept, blank = [], []
+def _nonblank(path, lines):
+    """(line, cells) of each csv row of lines with a non-blank cell, lines
+    numbered from 1. A cell over the csv module's field limit is an E_FORMAT
+    line."""
+    kept = []
     rows = csv.reader(lines)
     try:
-        for line, row in enumerate(rows, first):
+        for line, row in enumerate(rows, 1):
             if any(c.strip() for c in row):
                 kept.append((line, row))
-            else:
-                blank.append(len(kept))
     except csv.Error as e:
-        raise FormatError(f"{path} line {first - 1 + rows.line_num}: {e}") from None
-    return kept, blank
+        raise FormatError(f"{path} line {rows.line_num}: {e}") from None
+    return kept
 
 
 def _convert(path, body, names, need) -> np.ndarray:
@@ -115,13 +113,11 @@ def _convert(path, body, names, need) -> np.ndarray:
 
 def _bulk_ingest(data: bytes, path):
     """The column names, needed cells and body line numbering of a plain
-    file, read in bulk; None if it is not plain (UTF-8 without quotes or
-    carriage returns, the header on its first line) or has no data row.
-
-    A chunk _read_columns leaves (a line of spaces, a row of another cell
-    count, a needed cell float() rejects) is split into lines, read by the
-    csv module as the row scan reads them, and converted by _convert.
-    """
+    file, read in bulk; None, to leave the file to the row scan, if it is
+    not plain (UTF-8 without quotes or carriage returns, the header on its
+    first line, every later line a row of the header's cell count: no empty
+    line or line of spaces before the last row), has no data row or has a
+    needed cell float() rejects."""
     if data[-2:-1].isspace():  # blank lines at the end number no row; one "\n" needs no copy
         data = data.rstrip()
     end = data.find(b"\n")
@@ -137,28 +133,18 @@ def _bulk_ingest(data: bytes, path):
     if found is None:
         return None
     names, need = found
-    parts, blanks, rows = [], [], 0  # blanks: the body rows before each blank line
-    for lo, hi, x, blank in _read_columns(data, end + 1, len(heads), need):
-        if x is None:
-            lines = data[lo:hi].decode("utf-8").removesuffix("\n").split("\n")
-            body, blank = _nonblank(path, lines, 2 + rows + len(blanks))
-            x = _convert(path, body, names, need)
-        blanks += [rows + b for b in blank]
-        rows += x.shape[1]
-        parts.append(x)
-    if not rows:
-        return None
-    return names, np.concatenate(parts, axis=1), lambda k: k + 2 + sum(b <= k for b in blanks)
+    x = _read_columns(data, end + 1, len(heads), need)
+    return None if x is None else (names, x, lambda k: k + 2)
 
 
 def _row_scan(data: bytes, path):
     """As _bulk_ingest, for any UTF-8 file, read with the csv module: quoted
-    cells, carriage returns, blank lines before the header."""
+    cells, carriage returns, blank lines anywhere, any cell float() rejects."""
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    raw, _ = _nonblank(path, io.StringIO(text, newline=""), 1)
+    raw = _nonblank(path, io.StringIO(text, newline=""))
     if not raw:
         raise FormatError(f"{path}: no header row")
     body = raw[1:]
@@ -582,16 +568,13 @@ def _decimals(buf, win, e, L):
 
 
 def _read_columns(data: bytes, start: int, ncols: int, need):
-    """Yield (lo, hi, x, blank) for each chunk data[lo:hi] of whole lines of
-    the body data[start:]: x the cells of columns need, one row of ncols
-    cells a line, as a (len(need), rows) float array, and blank, for each
-    empty line, the count of rows before it in the chunk. x is None if a
-    line has another cell count (a line of spaces included) or float()
-    rejects a needed cell; with one column an empty line is an empty cell.
-    Empty lines are looked for only in a chunk whose separators do not
-    make whole rows, so a chunk without one costs nothing more."""
+    """The cells of columns need of the body data[start:], one row of ncols
+    cells a line, as a (len(need), rows) float array, read a chunk of whole
+    lines at a time; None as soon as a chunk's lines are not rows of ncols
+    cells (an empty line or a line of spaces included) or float() rejects a
+    needed cell, and None for an empty body."""
     buf = np.zeros(0, dtype=np.uint8)
-    hi = start
+    parts, hi = [], start
     while hi < len(data):
         lo = hi
         hi = data.rfind(b"\n", lo, lo + _READ_CHUNK) + 1 or data.find(b"\n", lo) + 1 or len(data)
@@ -604,24 +587,12 @@ def _read_columns(data: bytes, start: int, ncols: int, need):
         if data[hi - 1] == 10:
             c = c[:-1]
         sep = np.flatnonzero((c == 44) | (c == 10))
+        kinds = c.take(sep)
+        if not _whole_rows(kinds, ncols):
+            return None
         prev = np.empty_like(sep)
         prev[0] = _CELL - 1
         prev[1:] = sep[:-1]
-        kinds = c.take(sep)
-        blank = []
-        if not _whole_rows(kinds, ncols):
-            # empty lines: a line end at the chunk's start or after a line end
-            ends = kinds == 10
-            empty = ends & (c.take(sep - 1) == 10)
-            empty[0] = ends[0] and sep[0] == _CELL
-            sep, prev, kinds = sep[~empty], prev[~empty], kinds[~empty]
-            if not empty.any() or not _whole_rows(kinds, ncols):
-                yield lo, hi, None, blank
-                continue
-            blank = np.cumsum(ends & ~empty)[empty].tolist()
-            if not sep.size:  # empty lines only
-                yield lo, hi, np.empty((len(need), 0)), blank
-                continue
         e = sep.reshape(-1, ncols)[:, need].T.ravel()
         L = e - 1 - prev.reshape(-1, ncols)[:, need].T.ravel()
         x, ok = _decimals(c, win, e, L)
@@ -629,8 +600,9 @@ def _read_columns(data: bytes, start: int, ncols: int, need):
             for i in np.flatnonzero(~ok).tolist():  # the rest, one float() each
                 x[i] = float(c[e[i] - L[i]:e[i]].tobytes())
         except ValueError:
-            x = None
-        yield lo, hi, None if x is None else x.reshape(len(need), -1), blank
+            return None
+        parts.append(x.reshape(len(need), -1))
+    return np.concatenate(parts, axis=1) if parts else None
 
 
 def _whole_rows(kinds, ncols: int) -> bool:
@@ -903,7 +875,7 @@ def run(argv=None) -> int:
     except MemoryError:  # numpy's refused allocations included
         sys.stderr.write("E_MEMORY: not enough memory for this request\n")
         return 1
-    if not args.output:
+    if args.output is None:
         sys.stdout.write(text)
         return 0
     try:

@@ -53,7 +53,7 @@ def _block_work(n: int):
     return np.empty((n, _NODES.size), complex), np.empty((n, _NODES.size - _SPLIT))
 
 
-def _rule_sums(values, t, work=None):
+def _rule_sums(values, t, work):
     """The coarse and the fine rule's sums for a real-symmetric f at each
     time of t, and the fine sums' rounding bounds 4 eps sum |term|. Each
     time t keeps its own parabola, the nodes _NODES / t. values(s, t)
@@ -61,9 +61,9 @@ def _rule_sums(values, t, work=None):
     t the (n_t x 1) column of their times, as a complex array of the shape
     of s that the terms then overwrite; each term is the real part of
     weight * f(s). work holds the block arrays (from _block_work, with at
-    least n_t rows); fresh ones are allocated without it."""
+    least n_t rows)."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
-    s, size = (w[:t.size] for w in work or _block_work(t.size))
+    s, size = (w[:t.size] for w in work)
     with np.errstate(all="ignore"):
         np.multiply(_NODES, 1.0 / t, out=s)  # _NODES / t bit for bit, at half the cost
         g = values(s, t)

@@ -322,40 +322,32 @@ def row_scan_outcome(path):
 
 
 def bulk_tokens(path):
-    """What the bulk reader makes of a file: None, or its column names, the
-    shape of its cells, the line numbers of its first and last rows and the
-    count of chunks its kernel left to the line-by-line read."""
-    split, convert = [], cli._convert
-
-    def counted(*args):
-        split.append(1)
-        return convert(*args)
-
-    with mock.patch.object(cli, "_convert", counted):
-        tokens = cli._bulk_ingest(Path(path).read_bytes(), path)
+    """What the bulk reader makes of a file: None, when it leaves the file to
+    the row scan, or its column names, the shape of its cells and the line
+    numbers of its first and last rows."""
+    tokens = cli._bulk_ingest(Path(path).read_bytes(), path)
     if tokens is not None:
         names, x, line_of = tokens
-        return names, x.shape, line_of(0), line_of(x.shape[1] - 1), len(split)
+        return names, x.shape, line_of(0), line_of(x.shape[1] - 1)
     return None
 
 
 def test_ingest_plain_signal_takes_the_bulk_path(tmp_path):
     path = ramp_csv(tmp_path, dt=0.001)
-    assert bulk_tokens(path) == (("t", "value"), (2, 1001), 2, 1002, 0)
+    assert bulk_tokens(path) == (("t", "value"), (2, 1001), 2, 1002)
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
-@pytest.mark.parametrize("text,split", [("t,value\n0,1\n1,2\n\n", 0),
-                                        ("t,value\n\n0,1\n\n\n1,2", 0),
-                                        ("t,value\n0,1\n1,2\n  \n", 0),
-                                        ("t,value\n0,1\n\t\n1,2\n", 1)],
+@pytest.mark.parametrize("text,bulk", [("t,value\n0,1\n1,2\n\n", True),
+                                       ("t,value\n\n0,1\n\n\n1,2", False),
+                                       ("t,value\n0,1\n1,2\n  \n", True),
+                                       ("t,value\n0,1\n\t\n1,2\n", False)],
                          ids=["trailing", "leading and inner", "trailing spaces", "inner tab"])
-def test_bulk_ingest_skips_empty_lines_as_the_row_scan_does(tmp_path, text, split):
-    # blank lines at the end are dropped before the kernel reads; the kernel
-    # skips inner empty lines, and an inner line of spaces sends its chunk
-    # to the line-by-line read, not the file to the row scan
+def test_bulk_ingest_skips_empty_lines_as_the_row_scan_does(tmp_path, text, bulk):
+    # blank lines at the end are dropped before the kernel reads; an inner
+    # empty line or line of spaces leaves the file to the row scan
     path = write(tmp_path / "blank.csv", text)
-    assert bulk_tokens(path)[-1] == split
+    assert (bulk_tokens(path) is not None) == bulk
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -451,8 +443,7 @@ def creep_file(rng, rows):
 def test_bulk_creep_ingest_matches_the_row_scan(tmp_path, seed):
     rng = np.random.default_rng([15, seed])
     path = write(tmp_path / "creep.csv", creep_file(rng, int(rng.integers(1, 2000))))
-    tokens = bulk_tokens(path)
-    assert (tokens[0], tokens[-1]) == (("t", "stress", "strain"), 0)
+    assert bulk_tokens(path)[0] == ("t", "stress", "strain")
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -479,10 +470,9 @@ def test_malformed_creep_file_is_one_format_line(tmp_path, capsys, data, message
 # --------------------------------------------------------- bulk decimal reader
 
 def read_columns(data):
-    """The chunks _read_columns yields for one column past the header "x",
-    joined, or None if a chunk was left to the line-by-line read."""
-    parts = [x for _, _, x, _ in cli._read_columns(data, 2, 1, [0])]
-    return None if any(x is None for x in parts) else np.concatenate(parts, axis=1)
+    """What _read_columns makes of one column past the header "x": its
+    cells, or None if it leaves them to the row scan."""
+    return cli._read_columns(data, 2, 1, [0])
 
 
 def read_cells(cells):
@@ -589,7 +579,7 @@ def test_reader_kernel_settles_every_repr_cell(tmp_path, monkeypatch):
     series = ingest_csv(str(path))
     assert len(left) >= 2 and not any(left)  # over several chunks, none left
     assert series.values.tobytes() == v.tobytes()
-    assert bulk_tokens(path)[-1] == 0  # and no chunk left to the line-by-line read
+    assert bulk_tokens(path) is not None  # and the file not left to the row scan
 
 
 def late_blank_lines(fault=None):
@@ -646,10 +636,9 @@ def inner_empty_lines(fault=None):
 
 @pytest.mark.parametrize("fault", [None, "11999.5,1"], ids=["empty lines only", "then a break"])
 def test_bulk_ingest_reads_past_inner_empty_lines(tmp_path, fault):
-    # the kernel skips the empty lines of three chunks: no chunk is left to
-    # the line-by-line read
+    # inner empty lines leave the file to the row scan, which reads past them
     path = write(tmp_path / "empty.csv", inner_empty_lines(fault))
-    assert bulk_tokens(path) == (("t", "value"), (2, 15000), 3, 15005, 0)
+    assert bulk_tokens(path) is None
     assert ingest_outcome(path) == row_scan_outcome(path)
 
 
@@ -658,20 +647,9 @@ def test_bulk_ingest_reads_past_inner_empty_lines(tmp_path, fault):
     ("12000,oops", "line 12006: non-numeric value value 'oops'"),
 ])
 def test_fault_after_inner_empty_lines_names_its_line(tmp_path, fault, message):
-    # four empty lines, three of them skipped by the kernel, push body row
-    # 12 000 from line 12 002 to line 12 006, in bulk and line by line alike
+    # four empty lines push body row 12 000 from line 12 002 to line 12 006
     path = write(tmp_path / "empty.csv", inner_empty_lines(fault))
     assert ingest_outcome(path) == ("FormatError", f"{path} {message}")
-
-
-def test_bulk_reader_reports_each_empty_line():
-    # each empty line gives the count of rows before it in its chunk; a
-    # chunk of empty lines only gives no rows
-    data = b"t,v\n\n1,1\n2,2\n\n\n3,3\n"
-    [(_, _, x, blank)] = cli._read_columns(data, 4, 2, [0, 1])
-    assert x.tolist() == [[1.0, 2.0, 3.0]] * 2 and blank == [0, 2, 2]
-    [(_, _, x, blank)] = cli._read_columns(b"t,v\n\n\n", 4, 2, [0, 1])
-    assert x.shape == (2, 0) and blank == [0, 0]
 
 
 # -------------------------------------------------------------- round trips
@@ -866,9 +844,10 @@ SPRINGPOT = ["respond", "--model", "springpot", "--kappa", "1", "--alpha", "0.5"
      "E_DOMAIN: time grid must be non-empty and finite"),
     (SPRINGPOT + ["--tmin=-1e308", "--tmax", "1e308", "--spacing", "linear"], 1,
      "E_DOMAIN: time grid must be non-empty and finite"),
+    (["ml", "--alpha=0.5", "--z=1", "--output="], 1, "E_IO: : No such file or directory"),
 ], ids=["no tmin", "no points", "tmin above tmax", "log from zero", "ml alpha",
         "simulate creep file", "quasi creep file", "fit signal file", "empty lines only",
-        "infinite tmax", "infinite tmin", "overflowing span"])
+        "infinite tmax", "infinite tmin", "overflowing span", "empty output path"])
 def test_refusals_are_one_exact_line(tmp_path, capsys, argv, code, line):
     paths = {"creep": creep_csv(tmp_path), "signal": ramp_csv(tmp_path),
              "empty": write(tmp_path / "empty.csv", "\n\n\n")}

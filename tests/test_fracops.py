@@ -38,6 +38,7 @@ def test_weights_half_order_hand_checked():
     # binomial recurrence gives exact dyadic rationals at nu = 1/2
     w = gl_weights(0.5, 4)
     assert list(w) == [1.0, -0.5, -0.125, -0.0625]
+    assert gl_weights(FractionalOrder(0.5), 4).tobytes() == w.tobytes()  # an order instance
 
 
 def test_weights_single():

@@ -255,6 +255,19 @@ def test_ml_tiny_alpha_next_to_one_declines_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("a,z,message", [
+    (0.01, -1e4, "extended-precision series out of reach for E_(0.01,1.0)(-10000.0)"),
+    (1e-5, 0.99999,
+     "extended-precision series for E_(1e-05,1.0)(0.99999) needs over 200000 terms"),
+], ids=["no term estimate", "geometric term count"])
+def test_extended_series_refuses_before_summing(a, z, message):
+    # no term estimate fits a double (u = 1e4**100), or the terms fall
+    # only as 0.99999**k: both are refused before a term is summed
+    with pytest.raises(ConvergenceError) as refused:
+        special._series_mpf(a, 1.0, z)
+    assert str(refused.value) == message
+
+
 def point_series(a, b, z):
     """The per-point power series at z: (value, relative bound), or None
     where it is skipped."""
