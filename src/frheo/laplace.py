@@ -40,66 +40,67 @@ _NODE_LOG = np.log(_NODES)
 _WEIGHTS = np.concatenate((_COARSE[3], _FINE[3]))
 
 
-# times per contour pass: (128 x 90) complex node arrays of 184 KB, which
-# bound memory on long grids. _bromwich allocates its block arrays once
-# per call and writes every block into them, so the C allocator does not
-# hand them back to the kernel and fault them in again block by block.
-_T_BLOCK = 128
+# rows per contour block. A block's node terms fill a (256 x 90) complex
+# array, 0.37 MB, above the C allocator's mmap and trim thresholds: fresh
+# arrays per block would be handed back to the kernel after each block and
+# page-faulted in again by the next, so _rule_sums allocates its block
+# arrays once per call and writes every block into them.
+_BLOCK = 256
 
 
-def _block_work(n: int):
-    """The block arrays of _rule_sums for up to n times: the nodes s and
-    the sizes of the fine rule's terms."""
-    return np.empty((n, _NODES.size), complex), np.empty((n, _NODES.size - _SPLIT))
-
-
-def _rule_sums(values, t, work):
-    """The coarse and the fine rule's sums for a real-symmetric f at each
-    time of t, and the fine sums' rounding bounds 4 eps sum |term|. Each
-    time t keeps its own parabola, the nodes _NODES / t. values(s, t)
-    gives the transform at an (n_t x nodes) array s of upper-half nodes,
-    t the (n_t x 1) column of their times, as a complex array of the shape
-    of s that the terms then overwrite; each term is the real part of
-    weight * f(s). work holds the block arrays (from _block_work, with at
-    least n_t rows)."""
-    t = np.asarray(t, dtype=float).reshape(-1, 1)
-    s, size = (w[:t.size] for w in work)
-    with np.errstate(all="ignore"):
-        np.multiply(_NODES, 1.0 / t, out=s)  # _NODES / t bit for bit, at half the cost
-        g = values(s, t)
-        np.multiply(_WEIGHTS, g, out=g)
-        # the real parts of complex sums and quotients, which round as the
-        # sums over each node and its conjugate did: numpy sums the real
-        # parts of a complex row in another order than a real row, and
-        # divides a complex by t as a product with 1 / t
-        coarse, fine = (np.add.reduceat(g, (0, _SPLIT), axis=1) / t).real.T
-        np.abs(g.real[:, _SPLIT:], out=size)
-        return coarse, fine, 4.0 * math.ulp(1.0) * size.sum(axis=1) / t[:, 0]
+def _rule_sums(terms, n: int) -> np.ndarray:
+    """The one contour sum, of the inversion (_bromwich) and of the
+    Mittag-Leffler route (special._ml_contour): the coarse and the fine
+    rule's sums of n rows of node terms, walked in blocks of _BLOCK rows.
+    terms(rows, g, size) writes the weighted node terms of the slice rows
+    into the (rows x nodes) complex block g, and into size the sizes that
+    bound their rounding at the fine rule's nodes. Returns a (3, n) array:
+    the real parts of the coarse and the fine complex sums, then the fine
+    sums' rounding bounds 4 eps sum size."""
+    out = np.empty((3, n))
+    g_buf = np.empty((min(_BLOCK, n), _NODES.size), complex)
+    size_buf = np.empty((g_buf.shape[0], _NODES.size - _SPLIT))
+    for i in range(0, n, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        g, size = g_buf[:n - i], size_buf[:n - i]
+        terms(rows, g, size)
+        # the real parts of complex sums: numpy adds a complex row's real
+        # parts in another order than a real row's, and the inverted grids'
+        # bits are those of the complex order
+        out[:2, rows] = np.add.reduceat(g, (0, _SPLIT), axis=1).real.T
+        out[2, rows] = 4.0 * math.ulp(1.0) * size.sum(axis=1)
+    return out
 
 
 def _bromwich(values, t, tol: float) -> np.ndarray:
     """invert at every time of the 1-D array t, for a real-symmetric
-    transform values(s, t) that takes an (n_t x nodes) array of
-    upper-half nodes and the column of their times at once (see
-    _rule_sums). The times are summed in blocks of _T_BLOCK, so memory
-    stays bounded on long grids; the first uncertified time in grid
-    order raises ConvergenceError."""
+    transform values(s, t). Each time keeps its own parabola, the nodes
+    _NODES / t: values takes a (rows x nodes) array s of upper-half nodes
+    and the column t of their times and returns the transform at s as a
+    complex array of the shape of s; each term is weight * f(s), bounded
+    in rounding by |term|. The times are summed in blocks (_rule_sums), so
+    memory stays bounded on long grids; once all are summed, the first
+    uncertified time in grid order raises ConvergenceError."""
     t = np.asarray(t, dtype=float).reshape(-1)
-    out = np.empty(t.size)
-    work = _block_work(min(t.size, _T_BLOCK))
-    for i in range(0, out.size, _T_BLOCK):
-        block = t[i:i + _T_BLOCK]
-        coarse, value, rounding = _rule_sums(values, block, work)
-        with np.errstate(all="ignore"):  # a non-finite sum is refused below
-            drift = (np.abs(coarse - value) + rounding) / np.maximum(np.abs(value), 1e-300)
-        bad = ~(np.isfinite(value) & (drift <= 10.0 * tol))
-        if bad.any():
-            k = int(bad.argmax())
-            raise ConvergenceError(
-                f"contour sum {value[k]:.6e} at t={block[k]} is not certified: "
-                f"relative drift {drift[k]:.2e} (limit {10.0 * tol:.2e})")
-        out[i:i + _T_BLOCK] = value
-    return out
+
+    def terms(rows, g, size):
+        col = t[rows, None]
+        np.multiply(_NODES, 1.0 / col, out=g)  # _NODES / t bit for bit, at half the cost
+        np.multiply(_WEIGHTS, values(g, col), out=g)
+        np.abs(g[:, _SPLIT:], out=size)
+
+    with np.errstate(all="ignore"):  # a non-finite sum is refused below
+        # a product with 1 / t: the bits numpy gives the complex quotient
+        # of a sum by t
+        coarse, value, rounding = _rule_sums(terms, t.size) * (1.0 / t)
+        drift = (np.abs(coarse - value) + rounding) / np.maximum(np.abs(value), 1e-300)
+    bad = ~(np.isfinite(value) & (drift <= 10.0 * tol))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ConvergenceError(
+            f"contour sum {value[k]:.6e} at t={t[k]} is not certified: "
+            f"relative drift {drift[k]:.2e} (limit {10.0 * tol:.2e})")
+    return value
 
 
 def invert(transform, t: float, tol: float = 1e-8) -> float:

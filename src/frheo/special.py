@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, _positive
-from .laplace import _COARSE, _FINE, _NODE_LOG, _NODES, _SPLIT, _WEIGHTS
+from .laplace import _COARSE, _FINE, _NODE_LOG, _NODES, _SPLIT, _WEIGHTS, _rule_sums
 
 _EPS = 2.220446049250313e-16
 _LN_PI = math.log(math.pi)
@@ -187,19 +187,11 @@ def _tight(z):
     return _TIGHT[(abs(z) <= 50.0) * 1]
 
 
-# z values per contour pass. A block's node terms fill a (256 x 90) complex
-# array, 0.37 MB, above the C allocator's mmap and trim thresholds: fresh
-# arrays per block would be handed back to the kernel after each block and
-# page-faulted in again by the next, so _ml_contour allocates its block
-# arrays once per call and writes every block into them.
-_BLOCK = 256
-
-
 def _ml_contour(a: float, b: float, z, subtract: bool = False):
     """E_{a,b} at an array of z != 0 for 0 < a < 2 from the Bromwich
     integral of s^(a-b)/(s^a - z) at t = 1 on the coarse and the fine
     parabola. The node powers s^-b and s^-a are formed once for the
-    whole array, which is then summed in blocks of _BLOCK values.
+    whole array, whose node terms laplace._rule_sums then sums in blocks.
 
     Returns arrays of fine values and error estimates: the relative
     drift between the two rules plus 4 eps times the sum of the fine
@@ -219,7 +211,6 @@ def _ml_contour(a: float, b: float, z, subtract: bool = False):
     second try for the points with a pole that the plain sums refuse.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
-    coarse, fine, err = np.empty((3, z.size))
     with np.errstate(all="ignore"):
         live = np.flatnonzero((z > 0.0) | (a > 1.0))
         # residues c and poles s* to subtract, the conjugates of a pair in
@@ -238,24 +229,21 @@ def _ml_contour(a: float, b: float, z, subtract: bool = False):
                 at[0, live], at[1, live] = pole, pole.conj()
         x = np.exp(np.multiply.outer((-b, -a), _NODE_LOG))
         numer = _WEIGHTS * x[0]
-        g_buf = np.empty((min(_BLOCK, z.size), numer.size), complex)
-        size_buf = np.empty((g_buf.shape[0], numer.size - _SPLIT))
-        for i in range(0, z.size, _BLOCK):
-            blk = slice(i, i + _BLOCK)
-            g, size = g_buf[:z.size - i], size_buf[:z.size - i]
-            np.multiply(z[blk, None], x[1], out=g)
+
+        def terms(rows, g, size):
+            np.multiply(z[rows, None], x[1], out=g)
             np.subtract(1.0, g, out=g)
             np.divide(numer, g, out=g)  # numer / (1 - z s^-a)
             np.abs(g[:, _SPLIT:], out=size)
             if subtract:
-                part = _WEIGHTS * sum(ck[blk, None] / (_NODES - sk[blk, None])
+                part = _WEIGHTS * sum(ck[rows, None] / (_NODES - sk[rows, None])
                                       for ck, sk in zip(c, at))
                 g -= part
-                zx = z[blk, None] * x[1, _SPLIT:]
+                zx = z[rows, None] * x[1, _SPLIT:]
                 size *= 1.0 + np.abs(zx / (1.0 - zx))
                 size += np.abs(part[:, _SPLIT:])
-            coarse[blk], fine[blk] = np.add.reduceat(g.real, (0, _SPLIT), axis=1).T
-            err[blk] = 4.0 * _EPS * size.sum(axis=1)
+
+        coarse, fine, err = _rule_sums(terms, z.size)
         if live.size:
             # s* = exp(log|z| / a) carries a relative rounding error of up to
             # about (4 + 2 |log s*|) eps, which moves the residue by |s*|
@@ -337,8 +325,6 @@ def _series_mpf(a: float, b: float, z: float) -> float:
         else:  # the tail is still significant: the sum would be truncated
             raise ConvergenceError(
                 f"extended-precision series for E_({a},{b})({z}) needs over {k} terms")
-        if abs(s) == 0:
-            return 0.0
         need = int(ctx.mag(tmax / abs(s)) * 0.30103) + 20
         if dps >= need:
             return float(s)

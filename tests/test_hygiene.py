@@ -136,3 +136,16 @@ def test_one_mittag_leffler_route_order():
     # one power series: the band's and the point's come from one pair builder
     for route in ("_series_pairs", "_ml_series"):
         assert sorted(_readers(route)) == ["special.py:_ml_grid", "special.py:_ml_point"], route
+
+
+def test_one_contour_sum():
+    # one kernel walks the contour blocks and sums their node terms, for
+    # the inversion and the Mittag-Leffler route alike: reduceat is read
+    # inside laplace._rule_sums and nowhere else
+    def reads(tree):
+        return [n.lineno for n in tree if isinstance(n, ast.Attribute) and n.attr == "reduceat"]
+
+    found = [f"{module} line {line}" for module, tree in TREES.items()
+             for line in reads(_outside(tree, "_rule_sums"))]
+    assert not found, f"reduceat read outside laplace._rule_sums: {', '.join(found)}"
+    assert reads(ast.walk(TREES["laplace.py"]))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frheo import special
+from frheo import laplace, special
 from frheo.errors import ConvergenceError, DomainError, PoleError
 from frheo.fracops import SignalSeries
 from frheo.models import rabotnov_stress
@@ -748,8 +748,8 @@ BLOCK_EDGE_BANDS = [(0.6, 1.1, (-1e-3, -60.0)), (1.7443, 1.1948, (-1e-2, -120.0)
                     (0.7, 1.2, (1e-3, 30.0))]
 
 
-@pytest.mark.parametrize("n", [1, special._BLOCK - 1, special._BLOCK, special._BLOCK + 1,
-                               2 * special._BLOCK + 37])
+@pytest.mark.parametrize("n", [1, laplace._BLOCK - 1, laplace._BLOCK, laplace._BLOCK + 1,
+                               2 * laplace._BLOCK + 37])
 @pytest.mark.parametrize("a,b,ends", BLOCK_EDGE_BANDS, ids=lambda v: f"{v:g}" if
                          isinstance(v, float) else "z")
 def test_ml_contour_blocks_match_one_point_calls(a, b, ends, n):
@@ -763,7 +763,7 @@ def test_ml_contour_blocks_match_one_point_calls(a, b, ends, n):
         points = [special._ml_contour(a, b, z[k:k + 1], subtract) for k in range(n)]
         for got, one in zip(whole, zip(*points)):
             assert got.tobytes() == np.concatenate(one).tobytes(), subtract
-    if n > special._BLOCK and (a > 1.0 or ends[0] > 0.0):  # a pole: the second pass runs
+    if n > laplace._BLOCK and (a > 1.0 or ends[0] > 0.0):  # a pole: the second pass runs
         assert np.any(special._ml_contour(a, b, z)[1] > special._tight(z))
 
 
