@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, GridError, _positive
+from .errors import DomainError, GridError, _in_range, _positive
 from .special import gamma
 
 _DIRECT = 1024  # leading kernel samples that _causal_convolve sums directly
@@ -173,7 +173,8 @@ def gl_derivative(s: SignalSeries, nu: OrderLike) -> SignalSeries:
 
     Sample n is dt**(-nu) * sum_j w_j * values[n-j] with the signal
     taken as zero before its start. Order 1 reduces to the backward
-    difference quotient, order 0 to the identity.
+    difference quotient, order 0 to the identity. A sample that leaves
+    double range raises OverflowError naming the first such time.
 
     Accuracy: first order in dt, with leading error
     -(nu/2) * dt * D^(nu+1) f (Lubich, SIAM J. Math. Anal. 17(3), 1986).
@@ -194,7 +195,11 @@ def gl_derivative(s: SignalSeries, nu: OrderLike) -> SignalSeries:
     order = _order(nu)
     m = len(s)
     conv = _causal_convolve(gl_weights(order, m), s.values)
-    return SignalSeries(s.t0, s.dt, s.dt ** (-order) * conv)
+    with np.errstate(all="ignore"):  # a sample out of double range is refused below
+        d = np.float64(s.dt) ** -order * conv
+    if not np.isfinite(d).all():  # the times are formed for the message alone
+        _in_range(d, s.times(), "fractional derivative")
+    return SignalSeries(s.t0, s.dt, d)
 
 
 def caputo_derivative(s: SignalSeries, nu: OrderLike) -> SignalSeries:

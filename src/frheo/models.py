@@ -2,11 +2,12 @@
 
 Each model is one rate equation sigma + sum a D^alpha sigma = sum b
 D^beta strain, and its dataclass holds that equation's terms plus any
-closed-form relaxation or creep. The rest is derived from the terms:
-the transfer function, inversion for responses without a closed form,
-the complex modulus and a time-domain marching solver. The
-hereditary-integral formulation with a fractional-exponential kernel
-sits alongside.
+Mittag-Leffler or exponential closed-form relaxation or creep. The rest
+is derived from the terms: the power law of every step response whose
+dividing side is one power of s, inversion for responses with neither,
+the transfer function, the complex modulus and a time-domain marching
+solver. The hereditary-integral formulation with a fractional-exponential
+kernel sits alongside.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (BranchError, DomainError, GridError, QuadratureError, Stabi
 from .fracops import (SignalSeries, _causal_convolve, _grid_break, _order, gl_derivative,
                       gl_weights)
 from .laplace import _NODES, _bromwich
-from .special import RabotnovParams, _ml_grid, _rgamma, gamma
+from .special import RabotnovParams, _ml_grid, _rgamma
 
 _INVERT_TOL = 1e-8  # certification level for runtime transform inversion
 _BLOCK = 128  # base block of the Toeplitz solve behind simulate_stress
@@ -37,7 +38,8 @@ def _non_negative(value, name: str) -> None:
 class MaterialModel:
     """Base of the catalog. A model supplies `_operator_terms()`: the (lhs, rhs)
     lists of (coefficient, order) terms of its rate equation, the bare sigma
-    implied. `_relaxation(t)` and `_creep(t)` are its closed forms, if any."""
+    implied. `_relaxation(t)` and `_creep(t)` are its closed forms, if any;
+    a response that is a power law (see `_power_law`) needs none."""
 
     _relaxation = _creep = None
 
@@ -55,16 +57,6 @@ class SpringPot(MaterialModel):
 
     def _operator_terms(self):
         return [], [(self.kappa, self.alpha)]
-
-    def _relaxation(self, t):
-        if self.alpha == 1.0:
-            raise DomainError(
-                "springpot with order 1 is a dashpot: step-strain stress is "
-                "impulsive; use the classical viscous law instead")
-        return self.kappa * _rgamma(1.0 - self.alpha) * t**(-self.alpha)
-
-    def _creep(self, t):
-        return t**self.alpha / (self.kappa * gamma(1.0 + self.alpha))
 
 
 @dataclass(frozen=True)
@@ -89,19 +81,9 @@ class FracMaxwell(MaterialModel):
                 [(self.E * self.lam**self.beta, self.beta)])
 
     def _relaxation(self, t):
-        if self.alpha == 0.0:
-            # the derivative on the stress side degenerates to identity,
-            # leaving a pure power-law element of half strength
-            return (0.5 * self.E * self.lam**self.beta * _rgamma(1.0 - self.beta)
-                    * t**(-self.beta))
         x = t / self.lam
         return self.E * x**(self.alpha - self.beta) * _ml_grid(
             self.alpha, self.alpha - self.beta + 1.0, -x**self.alpha)
-
-    def _creep(self, t):
-        a, b, lam = self.alpha, self.beta, self.lam
-        return (t**b * _rgamma(1.0 + b) / lam**b
-                + lam**(a - b) * t**(b - a) * _rgamma(1.0 + b - a)) / self.E
 
 
 @dataclass(frozen=True)
@@ -121,13 +103,7 @@ class ThreeParamMaxwell(MaterialModel):
         return [(self.a1, self.alpha)], [(self.b0, 0.0)]
 
     def _relaxation(self, t):
-        if self.alpha == 0.0:
-            return np.full(t.shape, self.b0 / (1.0 + self.a1))
         return self.b0 * (1.0 - _ml_grid(self.alpha, 1.0, -t**self.alpha / self.a1))
-
-    def _creep(self, t):
-        # 1/Gamma(1 - alpha) vanishes at alpha = 1, leaving 1/b0
-        return (1.0 + self.a1 * t**(-self.alpha) * _rgamma(1.0 - self.alpha)) / self.b0
 
 
 @dataclass(frozen=True)
@@ -146,12 +122,7 @@ class FracKelvinVoigt(MaterialModel):
     def _operator_terms(self):
         return [], [(self.b0, 0.0), (self.b1, self.alpha)]
 
-    def _relaxation(self, t):
-        return self.b0 + self.b1 * _rgamma(1.0 - self.alpha) * t**(-self.alpha)
-
     def _creep(self, t):
-        if self.alpha == 0.0:
-            return np.full(t.shape, 1.0 / (self.b0 + self.b1))
         return t**self.alpha / self.b1 * _ml_grid(
             self.alpha, self.alpha + 1.0, -(self.b0 / self.b1) * t**self.alpha)
 
@@ -185,15 +156,11 @@ class FracZener(MaterialModel):
         return [(self.a1, self.alpha)], [(self.b0, 0.0), (self.b1, self.alpha)]
 
     def _relaxation(self, t):
-        if self.alpha == 0.0:
-            return np.full(t.shape, (self.b0 + self.b1) / (1.0 + self.a1))
         return self.b0 + (self.b1 / self.a1 - self.b0) * _ml_grid(
             self.alpha, 1.0, -t**self.alpha / self.a1)
 
     def _creep(self, t):
         a1, b0, b1, a = self.a1, self.b0, self.b1, self.alpha
-        if a == 0.0:
-            return np.full(t.shape, (1.0 + a1) / (b0 + b1))
         # 1/(s G(s)) = a1/(b1 s) + (1 - a1 b0/b1) / (s (b0 + b1 s^alpha)):
         # no cancellation, and b0 = 0 needs no special case
         return a1 / b1 + (1.0 - a1 * b0 / b1) * t**a / b1 * _ml_grid(
@@ -245,9 +212,6 @@ class ClassicalMaxwell(MaterialModel):
     def _relaxation(self, t):
         return self.E * np.exp(-t / self.tau)
 
-    def _creep(self, t):
-        return (1.0 + t / self.tau) / self.E
-
 
 @dataclass(frozen=True)
 class ClassicalKelvin(MaterialModel):
@@ -262,10 +226,6 @@ class ClassicalKelvin(MaterialModel):
 
     def _operator_terms(self):
         return [], [(self.E, 0.0), (self.E * self.tau, 1.0)]
-
-    def _relaxation(self, t):
-        # the impulsive dashpot contribution at t = 0 is dropped
-        return np.full(t.shape, float(self.E))
 
     def _creep(self, t):
         return -np.expm1(-t / self.tau) / self.E
@@ -379,16 +339,44 @@ def creep_compliance(m: MaterialModel, t_grid) -> MaterialResponse:
 
 
 def _step_response(m: MaterialModel, t_grid, kind: str) -> MaterialResponse:
-    """The model's closed form of kind, else the inverse of its step transform."""
+    """The power law of kind where it applies, else the model's closed form
+    of kind, else the inverse of its step transform."""
     t = _time_grid(t_grid)
     lhs, rhs = _operator_terms(m)
     closed = m._relaxation if kind == "relaxation" else m._creep
-    # a closed form may overflow, and MaterialResponse refuses what it leaves
-    # non-finite, so numpy need not warn; _bromwich refuses a non-finite sum
-    # on its own
+    # a power law or closed form may overflow, and MaterialResponse refuses
+    # what it leaves non-finite, so numpy need not warn; _bromwich refuses a
+    # non-finite sum on its own
     with np.errstate(all="ignore"):
-        v = closed(t) if closed else _bromwich(_step_transform(lhs, rhs, kind), t, _INVERT_TOL)
+        v = _power_law(lhs, rhs, kind, t)
+        if v is None:
+            v = closed(t) if closed else _bromwich(_step_transform(lhs, rhs, kind), t, _INVERT_TOL)
     return MaterialResponse(kind, t, v, _grid_checked=True)
+
+
+def _power_law(lhs, rhs, kind: str, t):
+    """The step response of kind at t where the side it divides by is one
+    power k s^mu, else None.
+
+    Relaxation G(s)/s divides by the stress side, whose bare sigma is a
+    term of order 0; creep 1/(s G(s)) divides by the strain side. When
+    every term of that side has order mu, each term c D^nu of the other
+    side inverts to c t^(mu - nu) / Gamma(1 + mu - nu) (Mainardi & Spada,
+    Eur. Phys. J. Spec. Top. 193, 2011): the springpot, Nutting's creep
+    and every model at order 0. The terms are summed first and divided by
+    k last. A term with c = 0 or 1/Gamma = 0, an impulse at t = 0, is
+    dropped, and a response of impulses alone is refused.
+    """
+    stress = [(1.0, 0.0), *lhs]
+    divisor, other = (stress, rhs) if kind == "relaxation" else (rhs, stress)
+    mu = divisor[0][1]
+    if any(nu != mu for _, nu in divisor):
+        return None
+    terms = [(c * _rgamma(1.0 + mu - nu), mu - nu) for c, nu in other]
+    terms = [(c, p) for c, p in terms if c != 0.0]
+    if not terms:
+        raise DomainError(f"{kind} is an impulse at t = 0 alone: the model is a pure dashpot")
+    return sum(c * t**p for c, p in terms) / sum(c for c, _ in divisor)
 
 
 def _step_transform(lhs, rhs, kind: str):

@@ -124,8 +124,12 @@ def fit_nutting(data) -> NuttingFit:
     beta_exp, alpha, intercept = (1.0, *coef) if beta_fixed else coef
     resid = target - design @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
+    with np.errstate(over="ignore"):
+        psi = float(np.exp(-intercept))
+    if psi == math.inf:
+        raise OverflowError(f"fitted psi = exp({-intercept:g}) exceeds double range")
     return NuttingFit(
-        psi=float(np.exp(-intercept)),
+        psi=psi,
         alpha=float(alpha),
         beta_exp=float(beta_exp),
         rms_log_residual=rms,

@@ -291,13 +291,14 @@ def _series_mpf(a: float, b: float, z: float) -> float:
         raise ConvergenceError(f"extended-precision series out of reach for E_({a},{b})({z})")
     # the positive-axis series has no cancellation: 30 digits always suffice
     dps = 30 if z > 0.0 else max(30, int(pred[1] / math.log(10.0)) + 25)
-    if abs(z) < 1.0:
+    if abs(z) <= 1.0:
         # terms fall like |z|**k / Gamma(a*k + b) against a sum of up to
-        # 1/(1 - |z|): at tiny a next to |z| = 1 only the geometric factor
-        # works, and it needs about -dps*ln(10)/ln|z| terms
+        # 1/(1 - |z|), credited below |z| = 1 only: at tiny a next to
+        # |z| = 1 only the geometric factor works, and it needs about
+        # -dps*ln(10)/ln|z| terms
         x = a * _MPF_TERMS + b
         fall = -_MPF_TERMS * math.log(abs(z)) + (math.lgamma(x) if x > 2.0 else 0.0)
-        if fall < dps * math.log(10.0) + math.log1p(-abs(z)):
+        if fall < dps * math.log(10.0) + (math.log1p(-abs(z)) if abs(z) < 1.0 else 0.0):
             raise ConvergenceError(
                 f"extended-precision series for E_({a},{b})({z}) needs over "
                 f"{_MPF_TERMS} terms")

@@ -918,6 +918,20 @@ def test_signal_out_of_double_range_is_one_overflow_line(tmp_path, argv, scale):
     assert len(lines) == 1 and lines[0].startswith("E_OVERFLOW: "), done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["quasi", "--stress", "1", "--mu", "1"],
+    ["simulate", "--model", "springpot", "--kappa", "1", "--alpha", "1"],
+], ids=["quasi", "simulate"])
+def test_derivative_out_of_double_range_is_one_overflow_line(tmp_path, argv):
+    # dt = 1e-300 and steps of 1e10: the first difference quotient is 1e310
+    rows = "".join(f"{k * 1e-300!r},{k * 1e10!r}\n" for k in range(4))
+    src = write(tmp_path / "in.csv", "t,value\n" + rows)
+    done = subprocess.run([sys.executable, "-m", "frheo", *argv, "--input", src],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "E_OVERFLOW: fractional derivative at 1e-300 exceeds double range\n")
+
+
 @pytest.mark.parametrize("argv, dt, cause", [
     (["--model", "fmaxwell", "--E", "1e308", "--lambda", "1e10", "--alpha", "0.5",
       "--beta", "0.9"], 1.0, "E_OVERFLOW: strain-side coefficient of D^0.9 exceeds double range"),
@@ -975,6 +989,106 @@ def test_out_of_memory_is_one_memory_line():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == "E_MEMORY: not enough memory for this request\n"
+
+
+# the child runs every argv through cli.run under a 2 GiB address space,
+# with every warning shown, and prints (exit code, stderr) per argv as JSON
+_FUZZ_RUN = """
+import io, json, resource, sys, traceback, warnings
+limit = 1 << 31
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+warnings.simplefilter("always")
+from frheo.cli import run
+results = []
+for argv in json.load(sys.stdin):
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = run(argv)
+    except Exception:
+        code = None
+        traceback.print_exc()
+    results.append((code, sys.stderr.getvalue()))
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+json.dump(results, sys.stdout)
+"""
+
+_EXTREMES = (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-10, 1.0, 1e10, 1e300,
+             1.7976931348623157e308)
+
+
+def _extreme(rng, positive=False):
+    """A finite double: an extreme magnitude or a random one, either sign
+    unless positive."""
+    if rng.random() < 0.5:
+        x = rng.choice(_EXTREMES[1:] if positive else _EXTREMES)
+    else:
+        x = 10.0 ** rng.uniform(-320, 308)
+    return float(x if positive or rng.random() < 0.8 else -x)
+
+
+def _fuzz_model(rng):
+    """--model and its flags, orders in [0, 1] with both ends likely."""
+    name = str(rng.choice(sorted(cli._MODEL_SPECS)))
+    flags = {}
+    for f in dataclasses.fields(cli._MODEL_SPECS[name]):
+        if f.name in ("alpha", "beta", "gamma"):
+            flags[f.name] = float(rng.choice([0.0, 1.0, rng.random()]))
+        else:
+            flags[f.name] = float(10.0 ** rng.uniform(-30, 30))
+    if name == "poynting":  # gamma <= alpha <= beta
+        flags["gamma"], flags["alpha"], flags["beta"] = sorted(
+            (flags["gamma"], flags["alpha"], flags["beta"]))
+    elif name == "fmaxwell":
+        flags["alpha"], flags["beta"] = sorted((flags["alpha"], flags["beta"]))
+    elif name == "fzener":  # admissible, so that no warning is due
+        flags["b1"] = 2.0 * flags["a1"] * flags["b0"] + 1.0
+    argv = ["--model", name]
+    for f, v in flags.items():
+        argv.append(f"{cli._flag(f)}={v!r}")
+    return argv
+
+
+def _fuzz_case(rng, tmp_path, k):
+    """One file command and its input: a 2-50 row file of extreme cells."""
+    rows = int(rng.integers(2, 51))
+    command = str(rng.choice(["simulate", "quasi", "fit"]))
+    path = tmp_path / f"fuzz{k}.csv"
+    if command == "fit":
+        cells = [[_extreme(rng, positive=True) for _ in range(3)] for _ in range(rows)]
+        if rng.random() < 0.1:  # one cell a record refuses
+            cells[rng.integers(rows)][rng.integers(3)] = _extreme(rng)
+        write(path, "t,stress,strain\n" + "".join(f"{t!r},{s!r},{e!r}\n" for t, s, e in cells))
+        return ["fit", "nutting", "--input", str(path)]
+    t0 = 0.0 if rng.random() < 0.8 else _extreme(rng, positive=True)
+    dt = _extreme(rng, positive=True)
+    values = [_extreme(rng) for _ in range(rows)]
+    if rng.random() < 0.5:  # a history that rises
+        values.sort(key=abs)
+        values = [abs(v) for v in values]
+    if rng.random() < 0.8:
+        values[0] = 0.0
+    write(path, "t,value\n" + "".join(f"{t0 + j * dt!r},{v!r}\n" for j, v in enumerate(values)))
+    if command == "quasi":
+        return ["quasi", "--input", str(path), f"--stress={_extreme(rng)!r}",
+                f"--mu={float(rng.choice([0.0, 1.0, rng.random(), 1.5]))!r}"]
+    return ["simulate", *_fuzz_model(rng), "--input", str(path)]
+
+
+def test_file_commands_fuzz_is_refused_in_one_line(tmp_path):
+    # seeded argvs of the file commands: each ends with exit 0, 1 or 2 and
+    # at most one stderr line, never a traceback or a warning
+    rng = np.random.default_rng(25)
+    corpus = [_fuzz_case(rng, tmp_path, k) for k in range(300)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _FUZZ_RUN], input=json.dumps(corpus), env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    bad = [(argv, code, err) for argv, (code, err) in zip(corpus, results)
+           if code not in (0, 1, 2) or err.count("\n") > 1
+           or "Traceback" in err or "Warning" in err]
+    assert not bad, bad[:3]
+    assert {code for code, _ in results} >= {0, 1}
 
 
 def test_ml_negative_axis_overflow_exits_one(capsys):

@@ -149,3 +149,10 @@ def test_one_contour_sum():
              for line in reads(_outside(tree, "_rule_sums"))]
     assert not found, f"reduceat read outside laplace._rule_sums: {', '.join(found)}"
     assert reads(ast.walk(TREES["laplace.py"]))
+
+
+def test_one_power_law_rule():
+    # every power-law step response of the catalog comes from one rule:
+    # in models.py 1/Gamma is read inside _power_law and nowhere else
+    assert [r for r in _readers("_rgamma") if r.startswith("models.py:")] \
+        == ["models.py:_power_law"]

@@ -172,9 +172,17 @@ def test_springpot_creep_product_identity():
         assert_allclose(prod, want, rtol=1e-13)
 
 
-def test_springpot_order_one_relaxation_refused():
-    with pytest.raises(DomainError):
-        relaxation_modulus(SpringPot(1.0, 1.0), [1.0])
+def test_order_one_impulse_policy():
+    # a response of impulses alone, the step-strain stress of a dashpot,
+    # is refused
+    for m in (SpringPot(1.0, 1.0), FracMaxwell(2.0, 1.0, 0.0, 1.0),
+              FracKelvinVoigt(0.0, 3.0, 1.0)):
+        with pytest.raises(DomainError, match="impulse at t = 0 alone"):
+            relaxation_modulus(m, [1.0])
+    # beside a finite term the impulse is dropped, also where its
+    # 1/Gamma(0) = 0 would meet t^-1 = inf
+    assert relaxation_modulus(FracKelvinVoigt(2.0, 3.0, 1.0), [1e-310]).values[0] == 2.0
+    assert creep_compliance(ThreeParamMaxwell(0.5, 3.0, 1.0), [1e-310]).values[0] == 1.0 / 3.0
     # creep of the dashpot is perfectly regular
     j = creep_compliance(SpringPot(2.0, 1.0), [3.0]).values[0]
     assert j == pytest.approx(1.5, rel=1e-14)
@@ -234,6 +242,27 @@ def test_poynting_collapse_to_scaled_springpot():
     got = relaxation_modulus(m, t).values
     want = relaxation_modulus(SpringPot(kappa, 0.4), t).values
     assert_allclose(got, want, rtol=1e-6)
+
+
+@pytest.mark.parametrize("kind,orders", [("relaxation", (0.4, 0.4, 0.4)),
+                                         ("creep", (0.6, 0.6, 0.2)),
+                                         ("creep", (1.0, 1.0, 0.0))])
+def test_equal_order_poynting_is_a_power_law(kind, orders, monkeypatch):
+    # one power on the dividing side: the response is a power law, with
+    # no inversion, and it agrees with the scalar inversion
+    def no_inversion(*args):
+        raise AssertionError("the response was inverted")
+
+    monkeypatch.setattr(models, "_bromwich", no_inversion)
+    m = PoyntingThomson(2.0, 3.0, 1.5, *orders)
+    t = np.geomspace(1e-3, 1e3, 13)
+    if kind == "relaxation":
+        got = relaxation_modulus(m, t).values
+        ref = [invert(lambda s: transfer_function(m, s) / s, tk, tol=1e-8) for tk in t]
+    else:
+        got = creep_compliance(m, t).values
+        ref = [invert(lambda s: 1.0 / (s * transfer_function(m, s)), tk, tol=1e-8) for tk in t]
+    assert_allclose(got, ref, rtol=1e-8)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -1,6 +1,7 @@
 """Log-space creep fitting, quasi-property extraction, extended power series."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,14 @@ def test_degenerate_data_is_refused():
         fit_nutting([(2.0, S, 0.3 * S) for S in (1.0, 2.0, 3.0)])  # one time
     with pytest.raises(DegenerateDataError):
         fit_nutting([(2.0, 1.0, v) for v in (0.3, 0.4, 0.5)])  # one time, one stress
+
+
+def test_fitted_psi_out_of_double_range_is_refused():
+    # strains near 1e-310 put psi near exp(713.8); no numpy warning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"fitted psi = exp\(713\.801\) exceeds"):
+            fit_nutting([(1.0, 1.0, 1e-310), (2.0, 1.0, 2e-310), (3.0, 1.0, 3e-310)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

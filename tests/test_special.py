@@ -259,10 +259,18 @@ def test_ml_tiny_alpha_next_to_one_declines_at_once():
     (0.01, -1e4, "extended-precision series out of reach for E_(0.01,1.0)(-10000.0)"),
     (1e-5, 0.99999,
      "extended-precision series for E_(1e-05,1.0)(0.99999) needs over 200000 terms"),
-], ids=["no term estimate", "geometric term count"])
-def test_extended_series_refuses_before_summing(a, z, message):
+    (1e-8, 1.0, "extended-precision series for E_(1e-08,1.0)(1.0) needs over 200000 terms"),
+    (1e-8, -1.0, "extended-precision series for E_(1e-08,1.0)(-1.0) needs over 200000 terms"),
+], ids=["no term estimate", "geometric term count", "unit argument", "negative unit argument"])
+def test_extended_series_refuses_before_summing(a, z, message, monkeypatch):
     # no term estimate fits a double (u = 1e4**100), or the terms fall
-    # only as 0.99999**k: both are refused before a term is summed
+    # only as 0.99999**k, or not at all at |z| = 1 with a gamma argument
+    # a*k + 1 that stays near 1: each is refused before a term is summed,
+    # so no extended-precision context may be made
+    def no_context():
+        raise AssertionError("an MPContext was created")
+
+    monkeypatch.setattr("mpmath.ctx_mp.MPContext", no_context)
     with pytest.raises(ConvergenceError) as refused:
         special._series_mpf(a, 1.0, z)
     assert str(refused.value) == message
